@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -105,9 +104,20 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
                    help="panel CSV file(s); multiple files are concatenated")
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_threads_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="split-search threads (results identical for any value)")
+    p.add_argument("--threads", type=_thread_count, default=1,
+                   help="accepted for compatibility (>= 1); changes nothing, "
+                   "every command runs on one thread")
 
 
 def main(argv: list[str] | None = None) -> int:

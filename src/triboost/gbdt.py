@@ -8,20 +8,27 @@ anything that maps the full prediction vector to per-row gradient/Hessian
 pairs (see :class:`Objective`) — which is how the group-coupled losses in
 :mod:`triboost.objectives` drive the same engine as plain squared error.
 
-Determinism contract: identical inputs give bit-identical models, whatever
-the thread count.  Gradient/Hessian sums are accumulated left-to-right in
-ascending row order (``np.cumsum``), ties between candidate splits resolve
-to the lowest feature index then the lowest threshold, and the thread pool
-only fans out per-feature scans whose results are merged in feature order.
+Split search is XGBoost's exact greedy algorithm on column blocks (Chen &
+Guestrin 2016, §4.1): ``fit`` argsorts the feature matrix once into a (k, n)
+block of row indices, one presorted row per feature, and every tree node
+holds its own block, a stable partition of its parent's.  A node of c rows
+thus costs O(c·k), and all its features are scanned in a few 2-D passes.
+
+Determinism contract: identical inputs give bit-identical models.
+Gradient/Hessian prefix sums are accumulated strictly left to right along
+each feature's stable order (``np.cumsum`` along a row, never pairwise),
+leaf sums left to right in ascending row order, and ties between candidate
+splits resolve to the lowest feature index then the lowest threshold.
+Everything runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -221,10 +228,17 @@ class GbdtModel:
             version = doc["version"]
             if version != MODEL_FORMAT_VERSION:
                 raise PersistenceError(f"unknown model version {version!r}")
+            base_score = float(doc["base_score"])
+            learning_rate = float(doc["learning_rate"])
+            feature_count = int(doc["feature_count"])
+            if not (math.isfinite(base_score) and math.isfinite(learning_rate)):
+                raise PersistenceError("non-finite base_score or learning_rate")
+            if feature_count < 0:
+                raise PersistenceError(f"negative feature_count {feature_count}")
             trees = []
             for tdoc in doc["trees"]:
                 nodes = [_node_from_dict(nd) for nd in tdoc["nodes"]]
-                _check_tree_shape(nodes)
+                _check_tree_shape(nodes, feature_count)
                 trees.append(
                     RegressionTree(
                         nodes=tuple(nodes),
@@ -232,12 +246,12 @@ class GbdtModel:
                     )
                 )
             return cls(
-                base_score=float(doc["base_score"]),
-                learning_rate=float(doc["learning_rate"]),
-                feature_count=int(doc["feature_count"]),
+                base_score=base_score,
+                learning_rate=learning_rate,
+                feature_count=feature_count,
                 trees=tuple(trees),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PersistenceError(f"malformed model document: {exc}") from exc
 
 
@@ -267,16 +281,40 @@ def _node_from_dict(doc: dict) -> SplitNode | LeafNode:
     raise PersistenceError(f"unknown node kind {kind!r}")
 
 
-def _check_tree_shape(nodes: list[SplitNode | LeafNode]) -> None:
+def _check_tree_shape(nodes: list[SplitNode | LeafNode], feature_count: int) -> None:
+    """Prove the node list is a tree rooted at node 0 with every child
+    listed after its parent, as ``fit`` writes it: then ``predict`` visits
+    each node at most once, so no document can make it loop."""
     if not nodes:
         raise PersistenceError("tree with no nodes")
     n = len(nodes)
+    has_parent = [False] * n
     for i, node in enumerate(nodes):
-        if isinstance(node, SplitNode):
-            if not (0 <= node.left < n and 0 <= node.right < n):
-                raise PersistenceError(f"node {i}: child index out of range")
-            if node.left == i or node.right == i or node.left == node.right:
-                raise PersistenceError(f"node {i}: malformed children")
+        if isinstance(node, LeafNode):
+            if not math.isfinite(node.weight):
+                raise PersistenceError(f"node {i}: non-finite weight")
+            continue
+        if not (0 <= node.left < n and 0 <= node.right < n):
+            raise PersistenceError(f"node {i}: child index out of range")
+        if node.left == i or node.right == i or node.left == node.right:
+            raise PersistenceError(f"node {i}: malformed children")
+        if node.left < i or node.right < i:
+            raise PersistenceError(f"node {i}: child listed before its parent")
+        if not 0 <= node.feature < feature_count:
+            raise PersistenceError(
+                f"node {i}: feature {node.feature} outside [0, {feature_count})"
+            )
+        if not math.isfinite(node.threshold):
+            raise PersistenceError(f"node {i}: non-finite threshold")
+        for child in (node.left, node.right):
+            if has_parent[child]:
+                raise PersistenceError(f"node {child}: more than one parent")
+            has_parent[child] = True
+    # Children follow their parents, so a node with a parent is reachable
+    # from node 0 by induction; the root cannot have one.
+    orphans = [i for i in range(1, n) if not has_parent[i]]
+    if orphans:
+        raise PersistenceError(f"node {orphans[0]}: unreachable from the root")
 
 
 def save_model(model: GbdtModel, path: str | Path) -> None:
@@ -324,47 +362,14 @@ def _seq_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1])
 
 
-def _scan_feature(
-    feature: int,
-    order: np.ndarray,
-    in_node: np.ndarray,
-    X: np.ndarray,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    config: TrainConfig,
-) -> tuple[float, float] | None:
-    """Best (gain, threshold) for one feature within one node, or None.
-
-    ``order`` is the whole-matrix ascending order of this feature (stable,
-    so ties keep ascending row index); ``in_node`` flags the node's rows.
-    """
-    sel = order[in_node[order]]
-    x = X[sel, feature]
-    if x.shape[0] < 2 or x[0] == x[-1]:
-        return None
-    gs = np.cumsum(grad[sel])
-    hs = np.cumsum(hess[sel])
-    G, H = gs[-1], hs[-1]
-    pos = np.nonzero(x[:-1] < x[1:])[0]
-    if pos.shape[0] == 0:
-        return None
-    thresholds = 0.5 * (x[pos] + x[pos + 1])
-    GL, HL = gs[pos], hs[pos]
-    GR, HR = G - GL, H - HL
-    lam = config.reg_lambda
-    gains = 0.5 * (
-        GL * GL / (HL + lam) + GR * GR / (HR + lam) - G * G / (H + lam)
-    )
-    valid = (HL >= config.min_child_weight) & (HR >= config.min_child_weight)
-    # Guard against midpoints that round down onto the left value (only
-    # possible for adjacent floats); such a threshold would not reproduce
-    # the scored partition under the `<` routing rule.
-    valid &= thresholds > x[pos]
-    if not np.any(valid):
-        return None
-    gains = np.where(valid, gains, -np.inf)
-    best = int(np.argmax(gains))  # first max -> lowest threshold on ties
-    return float(gains[best]), float(thresholds[best])
+# Most elements one pass of ``find_best_split`` gathers.  A node of c rows
+# scans max(1, SCAN_BUDGET // c) features per pass, so small nodes do every
+# feature in one pass and a large node does one feature at a time, with
+# temporaries the size of one feature.  2**12 float64s are 32 KiB, within a
+# core's 48 KiB L1 data cache on a 2-vCPU Xeon, where this budget scanned
+# 600- to 4,910-row nodes of the wide benchmark panel faster than 2**14 to
+# 2**17 did.
+SCAN_BUDGET = 1 << 12
 
 
 def find_best_split(
@@ -374,10 +379,20 @@ def find_best_split(
     features: np.ndarray,
     config: TrainConfig,
     *,
-    presort: np.ndarray | None = None,
-    pool: ThreadPoolExecutor | None = None,
+    block: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
 ) -> SplitCandidate | None:
     """Exhaustive best split over all (feature, midpoint) candidates.
+
+    ``rows`` are the node's row indices; their order and repeats do not
+    matter.  ``block`` is the node's presorted column block: a (k, c) array
+    whose row f lists the node's c rows in stable ascending order of
+    feature f (ties keep ascending row index).  ``columns`` is ``features``
+    transposed to a contiguous (k, n) array.  Both are built here when not
+    given; ``fit`` passes them in.  The block is scanned in passes of whole
+    features, at most ``SCAN_BUDGET`` elements per pass, each pass one 2-D
+    gather, cumulative sum and gain evaluation.  Gradient/Hessian prefix
+    sums run strictly left to right along each feature's order.
 
     Returns the maximum-gain candidate whose gain exceeds ``min_gain`` and
     whose children both meet ``min_child_weight``; ties go to the lowest
@@ -388,51 +403,84 @@ def find_best_split(
     if rows.shape[0] == 0:
         raise ValidationError("cannot search for a split over zero rows")
     X = np.asarray(features, dtype=np.float64)
-    if presort is None:
-        presort = np.argsort(X, axis=0, kind="stable")
-    in_node = np.zeros(X.shape[0], dtype=bool)
-    in_node[rows] = True
-
-    num_features = X.shape[1]
-    scan = lambda f: _scan_feature(f, presort[:, f], in_node, X, grad, hess, config)
-    if pool is not None and num_features > 1:
-        per_feature = list(pool.map(scan, range(num_features)))
-    else:
-        per_feature = [scan(f) for f in range(num_features)]
+    if columns is None:
+        columns = np.ascontiguousarray(X.T)
+    if block is None:
+        rows = np.unique(rows)
+        block = rows[np.argsort(columns[:, rows], axis=1, kind="stable")]
+    num_features, c = block.shape
+    if c < 2:
+        return None
+    lam = config.reg_lambda
+    min_child = config.min_child_weight
+    values = columns.ravel()  # column f starts at values[starts[f]]
+    starts = np.arange(num_features)[:, None] * columns.shape[1]
+    per_pass = max(1, SCAN_BUDGET // c)
 
     best: SplitCandidate | None = None
-    for f, result in enumerate(per_feature):  # ascending f: ties keep lowest
-        if result is None:
-            continue
-        gain, threshold = result
-        if gain <= config.min_gain:
-            continue
-        if best is None or gain > best.gain:
-            best = SplitCandidate(feature=f, threshold=threshold, gain=gain)
+    for f0 in range(0, num_features, per_pass):  # ascending f: ties keep lowest
+        idx = block[f0 : f0 + per_pass].astype(np.intp)  # faster gathers
+        x = values[idx + starts[f0 : f0 + per_pass]]
+        gs = grad[idx].cumsum(axis=1)
+        hs = hess[idx].cumsum(axis=1)
+        G, H = gs[:, -1:], hs[:, -1:]
+        GL, HL = gs[:, :-1], hs[:, :-1]
+        GR, HR = G - GL, H - HL
+        # 0.5 * (GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ)): the same operations
+        # in the same order, with fewer temporaries.
+        gains = GL * GL
+        gains /= HL + lam
+        right = GR * GR
+        right /= HR + lam
+        gains += right
+        gains -= G * G / (H + lam)
+        gains *= 0.5
+        lo, hi = x[:, :-1], x[:, 1:]
+        thresholds = 0.5 * (lo + hi)
+        # Cut only between distinct values, and never where the midpoint
+        # rounds down onto the left value (only possible for adjacent
+        # floats): such a threshold would not reproduce the scored
+        # partition under the `<` routing rule.
+        valid = (lo < hi) & (thresholds > lo)
+        if min_child > 0.0:  # else every cut qualifies: HL > 0, and H >= HL
+            valid &= (HL >= min_child) & (HR >= min_child)
+        gains = np.where(valid, gains, -np.inf)
+        f, i = divmod(int(gains.argmax()), c - 1)  # first max: lowest f, then threshold
+        gain = float(gains[f, i])
+        if gain > (config.min_gain if best is None else best.gain):
+            best = SplitCandidate(
+                feature=f0 + f, threshold=float(thresholds[f, i]), gain=gain
+            )
     return best
 
 
 def _grow_tree(
     X: np.ndarray,
+    columns: np.ndarray,
     presort: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
     config: TrainConfig,
-    pool: ThreadPoolExecutor | None,
 ) -> tuple[RegressionTree, list[tuple[np.ndarray, float]]]:
     """Grow one tree on fixed grad/hess; returns it plus (rows, weight) per
-    leaf so the caller can update predictions without re-routing."""
+    leaf so the caller can update predictions without re-routing.
+
+    ``presort`` is the root's column block (see :func:`find_best_split`).
+    Each child's block is a stable partition of its parent's, so a node
+    costs O(c·k) for its own c rows, and its rows stay in ascending order
+    for the leaf sums."""
     nodes: list[SplitNode | LeafNode | None] = []
     leaves: list[tuple[np.ndarray, float]] = []
     deepest = 0
+    goes_left = np.zeros(X.shape[0], dtype=bool)  # flags of the node being split
 
-    def build(rows: np.ndarray, depth: int) -> int:
+    def build(rows: np.ndarray, block: np.ndarray | None, depth: int) -> int:
         nonlocal deepest
         deepest = max(deepest, depth)
         split = None
         if depth < config.max_depth and rows.shape[0] >= 2:
             split = find_best_split(
-                rows, grad, hess, X, config, presort=presort, pool=pool
+                rows, grad, hess, X, config, block=block, columns=columns
             )
         idx = len(nodes)
         if split is None:
@@ -443,9 +491,24 @@ def _grow_tree(
             leaves.append((rows, w))
             return idx
         nodes.append(None)  # reserve pre-order slot; children follow
-        goes_left = X[rows, split.feature] < split.threshold
-        left = build(rows[goes_left], depth + 1)
-        right = build(rows[~goes_left], depth + 1)
+        row_left = columns[split.feature, rows] < split.threshold
+        blocks: list[np.ndarray | None] = [None, None]  # leaves need no block
+        if depth + 1 < config.max_depth:
+            goes_left[rows] = row_left
+            # np.take/np.compress on the flat block: several times faster
+            # than fancy and boolean indexing with int32 indices.
+            in_left = goes_left.take(block.ravel())
+            k, n_left = block.shape[0], int(np.count_nonzero(row_left))
+            blocks = [
+                np.compress(~in_left, block.ravel()).reshape(k, rows.shape[0] - n_left),
+                np.compress(in_left, block.ravel()).reshape(k, n_left),
+            ]
+            del in_left
+        # Popped straight into the calls, so a child's block is owned by its
+        # own frame and freed once it is split in turn.
+        del block
+        left = build(rows[row_left], blocks.pop(), depth + 1)
+        right = build(rows[~row_left], blocks.pop(), depth + 1)
         nodes[idx] = SplitNode(
             feature=split.feature,
             threshold=split.threshold,
@@ -454,7 +517,11 @@ def _grow_tree(
         )
         return idx
 
-    build(np.arange(X.shape[0], dtype=np.intp), 0)
+    build(np.arange(X.shape[0], dtype=np.intp), presort, 0)
+    # ``build`` refers to itself through its closure; break that cycle, or
+    # the round's gradients, blocks and leaf rows stay alive until the
+    # cyclic garbage collector happens to run.
+    del build
     return RegressionTree(nodes=tuple(nodes), max_depth_reached=deepest), leaves
 
 
@@ -474,8 +541,11 @@ def fit(
     list, the objective's loss is appended before the first round and after
     every round (length num_rounds + 1).
 
-    ``n_threads`` only parallelizes per-feature split scans; results are
-    identical for any thread count.
+    The feature matrix is transposed once per fit into contiguous (k, n)
+    columns and argsorted into a (k, n) int32 column block, which every
+    tree partitions node by node (see :func:`_grow_tree`).  ``n_threads``
+    is accepted for compatibility and changes nothing: training runs on the
+    calling thread.
     """
     X = np.ascontiguousarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -483,30 +553,26 @@ def fit(
     if not np.all(np.isfinite(X)):
         raise ValidationError("feature matrix contains non-finite values")
     n = X.shape[0]
-    presort = np.argsort(X, axis=0, kind="stable")
+    columns = np.ascontiguousarray(X.T)
+    presort = np.argsort(columns, axis=1, kind="stable").astype(np.int32)
     base = float(objective.base_score())
     preds = np.full(n, base, dtype=np.float64)
     if loss_history is not None:
         loss_history.append(float(objective.loss(preds)))
 
-    pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
     trees: list[RegressionTree] = []
-    try:
-        for _ in range(config.num_rounds):
-            gh = objective.grad_hess(preds)
-            if len(gh) != n:
-                raise ObjectiveError(
-                    f"objective returned {len(gh)} grad/hess pairs for {n} rows"
-                )
-            tree, leaves = _grow_tree(X, presort, gh.grad, gh.hess, config, pool)
-            for rows, w in leaves:
-                preds[rows] += config.learning_rate * w
-            trees.append(tree)
-            if loss_history is not None:
-                loss_history.append(float(objective.loss(preds)))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+    for _ in range(config.num_rounds):
+        gh = objective.grad_hess(preds)
+        if len(gh) != n:
+            raise ObjectiveError(
+                f"objective returned {len(gh)} grad/hess pairs for {n} rows"
+            )
+        tree, leaves = _grow_tree(X, columns, presort, gh.grad, gh.hess, config)
+        for rows, w in leaves:
+            preds[rows] += config.learning_rate * w
+        trees.append(tree)
+        if loss_history is not None:
+            loss_history.append(float(objective.loss(preds)))
 
     return GbdtModel(
         base_score=base,

@@ -252,8 +252,8 @@ def run_pipeline(
 ) -> PipelineResult:
     """All three passes in order, plus diagnostics unless disabled.
 
-    Deterministic: the same dataset and config give bit-identical outputs,
-    whatever ``n_threads`` is.
+    Deterministic: the same dataset and config give bit-identical outputs.
+    ``n_threads`` is accepted for compatibility and changes nothing.
     """
     config = config or PipelineConfig()
     cfg1, cfg2, cfg3 = config.resolved()

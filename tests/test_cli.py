@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -292,6 +293,60 @@ class TestExitCodes:
             "--models", str(models), "--out", str(tmp_path / "p.csv"),
         ]) == 5
 
+    @pytest.mark.parametrize("command", ["train", "predict", "diagnose"])
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_bad_thread_count_is_usage(self, command, threads, tmp_path, capsys):
+        argv = [command, "--data", str(tmp_path / "d.csv"),
+                "--out", str(tmp_path / "o"), "--threads", threads]
+        if command != "train":
+            argv += ["--models", str(tmp_path)]
+        code, captured = run(argv, capsys)
+        assert code == 2
+        assert captured.err.startswith("usage: argument --threads: ")
+        assert captured.err.count("\n") == 1
+
+    def test_out_of_range_feature_is_persistence(self, ws, tmp_path, capsys):
+        # Was an IndexError traceback with exit 1, raised inside predict.
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("model_stage1.json", "model_stage2.json",
+                     "model_stage3.json"):
+            doc = json.loads((ws / "models" / name).read_text())
+            doc["trees"][0]["nodes"][0]["feature"] = 99
+            (models / name).write_text(json.dumps(doc))
+        data = ws / "data"
+        code, captured = run([
+            "predict", "--data", str(data / "train.csv"), str(data / "test.csv"),
+            "--models", str(models), "--out", str(tmp_path / "p.csv"),
+        ], capsys)
+        assert code == 5
+        assert captured.err.startswith("persistence: ")
+        assert captured.err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "generate" in capsys.readouterr().out
+
+
+# sha256 of the files `train` and `predict --threads 1` write for the default
+# scenario (`generate` with no options).  Changing the engine's arithmetic,
+# tie-breaking or model format shows here; a pure speed-up must not.
+GOLDEN_SHA256 = {
+    "model_stage1.json": "4f46ea4f1be2d526adeff3328dc2763caf5b3686fcfd0be6637bdfacf5154117",
+    "model_stage2.json": "0e287217b134b4431fb5e8a19c40b12de751dbf8b3fa51c77f50b64e14f0b46a",
+    "model_stage3.json": "1eecbf064ebbf602b39b891558314d87d5a2bd43431493fc07a4ef89babd449f",
+    "predictions.csv": "0fdc9929f8480e79fdeafb5482ba401a2b82f1192eb1c7257b35450d987d6a9d",
+}
+
+
+def test_default_scenario_outputs_are_golden(tmp_path):
+    data, models = tmp_path / "data", tmp_path / "models"
+    preds = models / "predictions.csv"
+    data_args = ["--data", str(data / "train.csv"), str(data / "test.csv")]
+    assert main(["generate", "--out", str(data)]) == 0
+    assert main(["train", *data_args, "--out", str(models), "--threads", "1"]) == 0
+    assert main(["predict", *data_args, "--models", str(models),
+                 "--out", str(preds), "--threads", "1"]) == 0
+    got = {name: hashlib.sha256((models / name).read_bytes()).hexdigest()
+           for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256

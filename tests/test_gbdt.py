@@ -1,4 +1,6 @@
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from oracles import (
     brute_force_fit_squared_error,
     brute_force_split,
 )
+from triboost import gbdt
 from triboost.errors import (
     DegenerateLeafError,
     ObjectiveError,
@@ -162,13 +165,24 @@ class TestFindBestSplit:
         grad = rng.normal(size=n)
         hess = rng.uniform(0.5, 2.0, size=n)
         cfg = TrainConfig(reg_lambda=lam)
-        got = find_best_split(np.arange(n), grad, hess, X, cfg)
-        want = brute_force_split(list(range(n)), grad, hess, X, cfg)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert (got.feature, got.threshold, got.gain) == want
+        # An unsorted row subset with repeats: the node is the set of rows.
+        subset = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+        want_all = brute_force_split(list(range(n)), grad, hess, X, cfg)
+        want_subset = brute_force_split(sorted(set(subset.tolist())), grad,
+                                        hess, X, cfg)
+        # Scan budgets: one feature per pass; passes of two features for
+        # nodes of 5-6 rows (of all features for smaller ones); the default,
+        # under which every node here is a single pass.
+        for budget in (1, 12, gbdt.SCAN_BUDGET):
+            with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
+                got = find_best_split(np.arange(n), grad, hess, X, cfg)
+                got_subset = find_best_split(subset, grad, hess, X, cfg)
+            for got, want in ((got, want_all), (got_subset, want_subset)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got is not None
+                    assert (got.feature, got.threshold, got.gain) == want
 
 
 class TestFit:
@@ -267,7 +281,24 @@ class TestFit:
         y = rng.normal(size=n)
         cfg = TrainConfig(num_rounds=2, max_depth=2, learning_rate=0.5,
                           reg_lambda=0.0)
-        model = fit(X, mse_objective(y), cfg)
+        base, trees, preds = brute_force_fit_squared_error(X, y, cfg)
+        for budget in (1, gbdt.SCAN_BUDGET):
+            with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
+                model = fit(X, mse_objective(y), cfg)
+            assert_same_model(model, base, trees)
+            assert model.predict(X).tolist() == preds
+
+    @pytest.mark.parametrize("budget", [1, 150, gbdt.SCAN_BUDGET])
+    def test_deep_trees_match_brute_force(self, budget):
+        # Nodes of up to 120 rows, partitioned four levels deep, with the
+        # scan in one-feature passes, mixed passes and single passes.
+        rng = np.random.default_rng(11)
+        X = np.round(rng.normal(size=(120, 3)), 1)  # many ties
+        y = X @ np.array([1.0, -0.5, 2.0]) + rng.normal(size=120)
+        cfg = TrainConfig(num_rounds=2, max_depth=4, learning_rate=0.5,
+                          reg_lambda=0.1)
+        with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
+            model = fit(X, mse_objective(y), cfg)
         base, trees, preds = brute_force_fit_squared_error(X, y, cfg)
         assert_same_model(model, base, trees)
         assert model.predict(X).tolist() == preds
@@ -400,3 +431,79 @@ class TestPersistence:
         }
         with pytest.raises(PersistenceError, match="node kind"):
             GbdtModel.from_dict(doc)
+
+
+def _one_tree_doc(nodes, feature_count=2, **top):
+    doc = {
+        "version": 1, "base_score": 0.0, "learning_rate": 1.0,
+        "feature_count": feature_count,
+        "trees": [{"max_depth_reached": 2, "nodes": nodes}],
+    }
+    doc.update(top)
+    return doc
+
+
+def _split(feature, left, right, threshold=0.0):
+    return {"kind": "split", "feature": feature, "threshold": threshold,
+            "left": left, "right": right}
+
+
+LEAF = {"kind": "leaf", "weight": 0.5}
+
+
+class TestModelShapeChecks:
+    def test_valid_tree_loads(self):
+        doc = _one_tree_doc([_split(0, 1, 2), LEAF, _split(1, 3, 4), LEAF, LEAF])
+        model = GbdtModel.from_dict(doc)
+        assert model.predict(np.zeros((2, 2))).tolist() == [0.5, 0.5]
+
+    def test_cycle_rejected(self):
+        # 0 -> 1 -> 0: loaded before, then predict never returned.
+        doc = _one_tree_doc([_split(0, 1, 2), _split(0, 0, 2), LEAF])
+        with pytest.raises(PersistenceError, match="before its parent"):
+            GbdtModel.from_dict(doc)
+
+    def test_shared_child_rejected(self):
+        doc = _one_tree_doc([_split(0, 1, 2), _split(1, 2, 3), LEAF, LEAF])
+        with pytest.raises(PersistenceError, match="more than one parent"):
+            GbdtModel.from_dict(doc)
+
+    def test_unreachable_node_rejected(self):
+        doc = _one_tree_doc([_split(0, 1, 2), LEAF, LEAF, LEAF])
+        with pytest.raises(PersistenceError, match="node 3: unreachable"):
+            GbdtModel.from_dict(doc)
+
+    @pytest.mark.parametrize("feature", [2, 7, -1])
+    def test_feature_out_of_range_rejected(self, feature):
+        doc = _one_tree_doc([_split(feature, 1, 2), LEAF, LEAF])
+        with pytest.raises(PersistenceError, match="outside"):
+            GbdtModel.from_dict(doc)
+
+    def test_negative_feature_count_rejected(self):
+        with pytest.raises(PersistenceError, match="feature_count"):
+            GbdtModel.from_dict(_one_tree_doc([LEAF], feature_count=-1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        doc = _one_tree_doc([_split(0, 1, 2, threshold=bad), LEAF, LEAF])
+        with pytest.raises(PersistenceError, match="threshold"):
+            GbdtModel.from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        doc = _one_tree_doc([{"kind": "leaf", "weight": bad}])
+        with pytest.raises(PersistenceError, match="weight"):
+            GbdtModel.from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["base_score", "learning_rate"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_top_level_rejected(self, key, bad):
+        with pytest.raises(PersistenceError, match="non-finite"):
+            GbdtModel.from_dict(_one_tree_doc([LEAF], **{key: bad}))
+
+    def test_overflowing_feature_index_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = json.dumps(_one_tree_doc([_split(0, 1, 2), LEAF, LEAF]))
+        path.write_text(doc.replace('"feature": 0', '"feature": 1e999'))
+        with pytest.raises(PersistenceError, match="malformed"):
+            load_model(path)
