@@ -11,7 +11,6 @@ from triboost import (
     PanelDataset,
     PanelRecord,
     Stage2Objective,
-    StageKind,
     StageTargets,
     TrainConfig,
     fit,
@@ -32,7 +31,7 @@ dataset = PanelDataset.from_records(
     records, ("f_0", "f_1", "f_2"), {2: 30.0, 3: 32.0}
 )
 
-targets = StageTargets(rng.uniform(4.0, 11.0, dataset.n), StageKind.STAGE2)
+targets = StageTargets(rng.uniform(4.0, 11.0, dataset.n))
 objective = Stage2Objective(dataset.layout, targets)
 preds = rng.uniform(4.0, 11.0, dataset.n)
 

@@ -23,12 +23,13 @@ print(f"features:        {dataset.feature_names}")
 # Weekly sums of the true sales match the recorded category totals exactly
 # (to the last bit) -- the noise moves shares around, never the total.
 true_sales = np.concatenate([dataset.actuals, truth.sales])
+layout = dataset.layout
 gap = 0.0
-for g in dataset.groups:
+for start, count, total in zip(layout.starts, layout.counts, layout.totals):
     week_sum = 0.0
-    for i in g.member_indices:
+    for i in range(start, start + count):
         week_sum += float(true_sales[i])
-    gap = max(gap, abs(week_sum - g.category_total))
+    gap = max(gap, abs(week_sum - total))
 print(f"\nmax |weekly sum - category total| over all 100 weeks: {gap:g}")
 
 # Watch the launch eat everyone's share.

@@ -33,21 +33,11 @@ from .gbdt import (
 from .metrics import AdherenceReport, category_adherence, product_metrics
 from .objectives import (
     ConstraintOnlyObjective,
-    RatioVector,
     Stage1Objective,
     Stage2Objective,
     Stage3Objective,
-    StageKind,
     StageTargets,
-    constraint_only_gradhess,
-    constraint_only_loss,
     pred_ratio,
-    stage1_gradhess,
-    stage1_loss,
-    stage2_gradhess,
-    stage2_loss,
-    stage3_gradhess,
-    stage3_loss,
     stage3_target,
 )
 from .panel import (
@@ -55,8 +45,6 @@ from .panel import (
     GroupLayout,
     PanelDataset,
     PanelRecord,
-    WeekGroup,
-    build_week_groups,
     load_panel_csv,
     save_panel_csv,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -28,7 +27,7 @@ from .errors import (
 from .gbdt import GbdtModel, load_model, save_model
 from .metrics import category_adherence, product_metrics
 from .objectives import pred_ratio, stage3_target
-from .panel import GroupLayout, load_panel_csv
+from .panel import GroupLayout, _parse_float, _parse_int, load_panel_csv
 from .pipeline import (
     PipelineConfig,
     StageOutputs,
@@ -66,7 +65,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="run the three-pass fit and save models")
     _add_data_args(p)
     p.add_argument("--config", help="training key-value config file")
-    p.add_argument("--seed", type=int, help="override the seed for all stages")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override one training config key (repeatable)")
     p.add_argument("--out", required=True, help="output directory")
@@ -151,15 +149,7 @@ def _mapping_from(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = cfgmod.pipeline_config_from_mapping(_mapping_from(args))
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        cfg = PipelineConfig(
-            stage1=dataclasses.replace(cfg.stage1, seed=seed),
-            stage2=dataclasses.replace(cfg.stage2, seed=seed) if cfg.stage2 else None,
-            stage3=dataclasses.replace(cfg.stage3, seed=seed) if cfg.stage3 else None,
-        )
-    return cfg
+    return cfgmod.pipeline_config_from_mapping(_mapping_from(args))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -210,7 +200,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "stage2": cfgmod.train_config_echo(cfg2),
             "stage3": cfgmod.train_config_echo(cfg3),
         },
-        "seed": cfg1.seed,
         "models": dict(MODEL_FILES),
         "loss_curves": {
             "stage1": list(result.stage1.loss_curve),
@@ -270,63 +259,56 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_csv(path: str, required: list[str]) -> list[dict[str, str]]:
+STAGES = ("stage1", "stage2", "stage3")
+
+
+def _read_keyed_csv(
+    path: str, columns: tuple[str, ...]
+) -> dict[tuple[int, str], list[float]]:
+    """Rows of an ``evaluate`` input keyed by (week, product), with the
+    numeric ``columns`` parsed.  A malformed cell or a repeated key is a
+    validation error naming the file and line."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
-            for name in required:
+            for name in ("product_id", "week", *columns):
                 if name not in header:
                     raise ValidationError(f"{path}: missing required column '{name}'")
-            return list(reader)
-    except OSError as exc:
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    keyed: dict[tuple[int, str], list[float]] = {}
+    for lineno, row in enumerate(rows, start=2):
+        if None in row or None in row.values():
+            raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
+        key = (_parse_int(row["week"], path, lineno, "week"), row["product_id"])
+        if key in keyed:
+            raise ValidationError(f"{path}:{lineno}: duplicate (week, product) row {key}")
+        keyed[key] = [_parse_float(row[c], path, lineno, c) for c in columns]
+    return keyed
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    pred_rows = _read_csv(args.pred, ["product_id", "week", "stage1", "stage2", "stage3"])
-    truth_rows = _read_csv(args.truth, ["product_id", "week", "true_sales"])
-    if not truth_rows:
+    preds = _read_keyed_csv(args.pred, STAGES)
+    truth = _read_keyed_csv(args.truth, ("true_sales",))
+    if not truth:
         raise ValidationError("truth file has no rows")
-
-    def key(row: dict[str, str]) -> tuple[int, str]:
-        return int(row["week"]), row["product_id"]
-
-    pred_by_key = {key(r): r for r in pred_rows}
-    truth_sorted = sorted(truth_rows, key=key)
-    missing = [k for k in map(key, truth_sorted) if k not in pred_by_key]
+    keys = sorted(truth)
+    missing = [k for k in keys if k not in preds]
     if missing:
         raise ValidationError(
             f"prediction rows missing for (week, product) {missing[:3]}"
         )
 
-    truth = np.array([float(r["true_sales"]) for r in truth_sorted])
-    stages = {
-        stage: np.array(
-            [float(pred_by_key[key(r)][stage]) for r in truth_sorted]
-        )
-        for stage in ("stage1", "stage2", "stage3")
-    }
-
-    weeks = np.array([key(r)[0] for r in truth_sorted], dtype=np.intp)
-    boundaries = np.nonzero(np.diff(weeks))[0] + 1
-    starts = np.concatenate([[0], boundaries]).astype(np.intp)
-    counts = np.diff(np.concatenate([starts, [len(weeks)]])).astype(np.intp)
-    totals = np.add.reduceat(truth, starts)
-    layout = GroupLayout(
-        starts=starts,
-        counts=counts,
-        totals=totals,
-        weeks=weeks[starts],
-        is_future=np.ones(len(starts), dtype=bool),
-        n=len(weeks),
-    )
-
-    report = {"rows": len(truth_sorted)}
-    for stage, preds in stages.items():
+    true_sales = np.array([truth[k][0] for k in keys])
+    layout = GroupLayout.from_week_column([week for week, _ in keys], true_sales)
+    report = {"rows": len(keys)}
+    for j, stage in enumerate(STAGES):
+        stage_preds = np.array([preds[k][j] for k in keys])
         report[stage] = {
-            **product_metrics(preds, truth),
-            "adherence": category_adherence(preds, layout).to_dict(),
+            **product_metrics(stage_preds, true_sales),
+            "adherence": category_adherence(stage_preds, layout).to_dict(),
         }
     report["manifest"] = {
         "command": "evaluate", "pred": args.pred, "truth": args.truth,
@@ -339,7 +321,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     dataset = load_panel_csv(args.data)
     outputs = _predict_stages(dataset, _load_models(args.models))
     config = _pipeline_config(args)
-    report = diagnose(dataset, outputs, config, n_threads=args.threads)
+    report = diagnose(dataset, outputs, config)
     cfg1, _, _ = config.resolved()
     _write_json(Path(args.out), {
         **report.to_dict(),

@@ -6,7 +6,7 @@ top of the file, so the effective mapping is reproducible from the manifest
 echo alone.
 
 Training keys (apply to every stage unless prefixed): num_rounds,
-max_depth, learning_rate, reg_lambda, min_child_weight, min_gain, seed.
+max_depth, learning_rate, reg_lambda, min_child_weight, min_gain.
 A ``stage2.`` / ``stage3.`` / ``stage1.`` prefix overrides one stage, e.g.
 ``stage3.num_rounds = 500``.
 
@@ -31,7 +31,7 @@ def read_kv_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -74,7 +74,7 @@ def _as_float(mapping: dict[str, str], key: str) -> float:
         raise ValidationError(f"config key {key!r}: not a number: {mapping[key]!r}") from None
 
 
-_TRAIN_INT_KEYS = {"num_rounds", "max_depth", "seed"}
+_TRAIN_INT_KEYS = {"num_rounds", "max_depth"}
 _TRAIN_FLOAT_KEYS = {"learning_rate", "reg_lambda", "min_child_weight", "min_gain"}
 _TRAIN_KEYS = _TRAIN_INT_KEYS | _TRAIN_FLOAT_KEYS
 _STAGE_PREFIXES = ("stage1", "stage2", "stage3")
@@ -184,5 +184,4 @@ def train_config_echo(config: TrainConfig) -> dict[str, object]:
         "reg_lambda": config.reg_lambda,
         "min_child_weight": config.min_child_weight,
         "min_gain": config.min_gain,
-        "seed": config.seed,
     }

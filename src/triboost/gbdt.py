@@ -1,11 +1,12 @@
 """Second-order (Newton) gradient-boosted regression trees.
 
-A deliberately small, exact engine: no histogram binning, no row/column
-subsampling.  Split finding enumerates midpoints between consecutive
-distinct sorted feature values and scores them with the usual second-order
-gain; leaf weights are ``-G/(H + lambda)``.  Objectives are pluggable —
-anything that maps the full prediction vector to per-row gradient/Hessian
-pairs (see :class:`Objective`) — which is how the group-coupled losses in
+A deliberately small, exact engine: no histogram binning and no row/column
+subsampling, so nothing in training is random and it takes no seed.  Split
+finding enumerates midpoints between consecutive distinct sorted feature
+values and scores them with the usual second-order gain; leaf weights are
+``-G/(H + lambda)``.  Objectives are pluggable — anything that maps the
+full prediction vector to per-row diagonal gradient/Hessian pairs (see
+:class:`Objective`) — which is how the week-coupled losses in
 :mod:`triboost.objectives` drive the same engine as plain squared error.
 
 Split search is XGBoost's exact greedy algorithm on column blocks (Chen &
@@ -111,7 +112,6 @@ class TrainConfig:
     reg_lambda: float = 1.0
     min_child_weight: float = 0.0
     min_gain: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_rounds < 1:
@@ -332,7 +332,7 @@ def load_model(path: str | Path) -> GbdtModel:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PersistenceError(f"cannot read model from {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -530,7 +530,6 @@ def fit(
     objective: Objective,
     config: TrainConfig,
     *,
-    n_threads: int = 1,
     loss_history: list[float] | None = None,
 ) -> GbdtModel:
     """Train an ensemble of ``num_rounds`` trees against ``objective``.
@@ -543,9 +542,8 @@ def fit(
 
     The feature matrix is transposed once per fit into contiguous (k, n)
     columns and argsorted into a (k, n) int32 column block, which every
-    tree partitions node by node (see :func:`_grow_tree`).  ``n_threads``
-    is accepted for compatibility and changes nothing: training runs on the
-    calling thread.
+    tree partitions node by node (see :func:`_grow_tree`).  Training runs
+    on the calling thread.
     """
     X = np.ascontiguousarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:

@@ -1,39 +1,39 @@
-"""Stage losses for the three-pass cascade, with analytic derivatives.
+"""The cascade's three distinct losses, as objectives the engine trains on.
 
-Stage 1 is plain mean squared error on historical rows.  Stage 2 adds a
-weekly sum constraint: each week's predictions should add up to that week's
-category total, so every row's gradient picks up its week's residual.
-Stage 3 keeps the constraint term and swaps the fit term for a pull toward
-share-preserving targets (each row's share of its week's stage-1 prediction
-mass, rescaled to the category total).
+Stage 1 is plain mean squared error on the m historical rows.  Stages 2 and
+3 share one loss over all n rows: squared error against per-row targets
+plus the weekly-sum penalty,
 
-All losses carry their 1/m or 1/n normalization inside the gradients, and
-the coupled constraint term is differentiated with a diagonal Hessian (the
--2/n cross terms between same-week rows are dropped, as the per-row
-grad/hess contract requires).  Every function here is pure.
+    loss = (1/n) sum_i (t_i - p_i)^2 + (1/n) sum_w R_w^2,
+    R_w  = category_total_w - sum of week w's predictions,
+
+so every row's gradient picks up its week's residual.  The stages differ
+only in their targets: stage 2 uses pseudo-labels (actuals, then stage-1
+predictions), stage 3 each row's share of its week's stage-1 prediction
+mass rescaled to the category total (:func:`pred_ratio`,
+:func:`stage3_target`).  The penalty alone is the constraint-only
+objective of the trivial-solution probe.
+
+Every objective hands the engine per-row diagonal Newton pairs (Chen &
+Guestrin 2016): gradients carry the 1/m or 1/n normalization, and the
+coupled penalty's -2/n cross terms between same-week rows are dropped from
+the Hessian.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRatioError, ValidationError
 from .gbdt import GradHess
-from .panel import GroupLayout, PanelDataset
-
-
-class StageKind(enum.Enum):
-    STAGE1 = "stage1"
-    STAGE2 = "stage2"
-    STAGE3 = "stage3"
+from .panel import GroupLayout
 
 
 @dataclass(frozen=True)
 class StageTargets:
-    """Training targets for one stage.
+    """Training targets for one stage, a finite vector.
 
     Stage 1 targets are the m historical actuals.  Stage 2 targets cover
     all n rows: actuals first, then stage-1 predictions as pseudo-labels.
@@ -41,7 +41,6 @@ class StageTargets:
     """
 
     values: np.ndarray
-    kind: StageKind
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -52,116 +51,22 @@ class StageTargets:
             raise ValidationError("targets contain non-finite values")
 
 
-@dataclass(frozen=True)
-class RatioVector:
-    """Per-row share of the week's total stage-1 prediction mass.
-
-    Shares of one week sum to 1 (within float tolerance); scaling a week's
-    predictions by any positive constant leaves them unchanged.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def validated(cls, values: np.ndarray, layout: GroupLayout) -> "RatioVector":
-        rv = cls(values)
-        sums = layout.weekly_sums(rv.values)
-        bad = np.nonzero(np.abs(sums - 1.0) > 1e-9)[0]
-        if bad.size:
-            w = int(layout.weeks[bad[0]])
-            raise ValidationError(
-                f"week {w}: ratios sum to {sums[bad[0]]!r}, expected 1"
-            )
-        return rv
-
-
-def _layout(data: PanelDataset | GroupLayout) -> GroupLayout:
-    return data.layout if isinstance(data, PanelDataset) else data
-
-
-def _check_kind(targets: StageTargets, kind: StageKind) -> np.ndarray:
-    if targets.kind is not kind:
-        raise ValidationError(f"expected {kind.value} targets, got {targets.kind.value}")
-    return targets.values
-
-
-def _check_lengths(t: np.ndarray, p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValidationError(f"targets have shape {t.shape}, predictions {p.shape}")
+def _as_preds(preds: np.ndarray, n: int) -> np.ndarray:
+    p = np.asarray(preds, dtype=np.float64)
+    if p.shape != (n,):
+        raise ValidationError(f"expected {n} predictions, got shape {p.shape}")
     return p
 
 
-# ---------------------------------------------------------------------------
-# stage 1: mean squared error on the m historical rows
-
-def stage1_loss(targets: StageTargets, preds: np.ndarray) -> float:
-    t = _check_kind(targets, StageKind.STAGE1)
-    p = _check_lengths(t, preds)
-    r = t - p
-    return float(np.mean(r * r))
-
-
-def stage1_gradhess(targets: StageTargets, preds: np.ndarray) -> GradHess:
-    t = _check_kind(targets, StageKind.STAGE1)
-    p = _check_lengths(t, preds)
-    m = t.shape[0]
-    grad = -2.0 * (t - p) / m
-    hess = np.full(m, 2.0 / m)
-    return GradHess(grad, hess)
-
-
-# ---------------------------------------------------------------------------
-# stage 2: squared error against pseudo-labeled targets + weekly sum penalty
-#
-# loss = (1/n) sum_i (t_i - p_i)^2 + (1/n) sum_w R_w^2,
-# R_w = category_total_w - sum of week w's predictions.
-
-def stage2_loss(
-    data: PanelDataset | GroupLayout, targets: StageTargets, preds: np.ndarray
-) -> float:
-    layout = _layout(data)
-    t = _check_kind(targets, StageKind.STAGE2)
-    p = _check_lengths(t, preds)
-    if t.shape[0] != layout.n:
-        raise ValidationError(f"expected {layout.n} targets, got {t.shape[0]}")
-    r = t - p
-    R = layout.residuals(p)
-    return float((np.sum(r * r) + np.sum(R * R)) / layout.n)
-
-
-def stage2_gradhess(
-    data: PanelDataset | GroupLayout, targets: StageTargets, preds: np.ndarray
-) -> GradHess:
-    layout = _layout(data)
-    t = _check_kind(targets, StageKind.STAGE2)
-    p = _check_lengths(t, preds)
-    n = layout.n
-    R_rows = layout.expand(layout.residuals(p))
-    grad = (-2.0 * (t - p) - 2.0 * R_rows) / n
-    hess = np.full(n, 4.0 / n)
-    return GradHess(grad, hess)
-
-
-# ---------------------------------------------------------------------------
-# stage-1 share ratios and the stage-3 targets they induce
-
-def pred_ratio(
-    stage1_preds: np.ndarray, data: PanelDataset | GroupLayout
-) -> RatioVector:
+def pred_ratio(stage1_preds: np.ndarray, layout: GroupLayout) -> np.ndarray:
     """Each row's share of its week's summed stage-1 prediction.
 
-    A week whose predictions sum to (near) zero has no meaningful shares;
-    the tolerance scales with the week's typical prediction magnitude.
+    A week's shares sum to 1, and scaling a week's predictions by any
+    positive constant leaves them unchanged.  A week whose predictions sum
+    to (near) zero has no meaningful shares; the tolerance scales with the
+    week's typical prediction magnitude.
     """
-    layout = _layout(data)
-    p = np.asarray(stage1_preds, dtype=np.float64)
-    if p.shape != (layout.n,):
-        raise ValidationError(f"expected {layout.n} predictions, got shape {p.shape}")
+    p = _as_preds(stage1_preds, layout.n)
     sums = layout.weekly_sums(p)
     scale = layout.weekly_sums(np.abs(p)) / layout.counts
     eps = 1e-9 * (scale + 1.0)
@@ -172,78 +77,18 @@ def pred_ratio(
             f"week {w}: stage-1 predictions sum to {sums[bad[0]]!r}, "
             "cannot form shares"
         )
-    return RatioVector(p / layout.expand(sums))
+    return p / layout.expand(sums)
 
 
-def stage3_target(
-    ratios: RatioVector, data: PanelDataset | GroupLayout
-) -> StageTargets:
+def stage3_target(ratios: np.ndarray, layout: GroupLayout) -> StageTargets:
     """Rescale each week's shares to its category total.
 
     Because a week's ratios sum to 1, its targets sum to the category total
     identically — the fine-tuning targets are constraint-consistent by
     construction.
     """
-    layout = _layout(data)
-    values = ratios.values * layout.expand(layout.totals)
-    return StageTargets(values=values, kind=StageKind.STAGE3)
+    return StageTargets(np.asarray(ratios, dtype=np.float64) * layout.expand(layout.totals))
 
-
-# ---------------------------------------------------------------------------
-# stage 3: weekly sum penalty + squared pull toward the rescaled-share targets
-
-def stage3_loss(
-    data: PanelDataset | GroupLayout, targets: StageTargets, preds: np.ndarray
-) -> float:
-    layout = _layout(data)
-    t = _check_kind(targets, StageKind.STAGE3)
-    p = _check_lengths(t, preds)
-    if t.shape[0] != layout.n:
-        raise ValidationError(f"expected {layout.n} targets, got {t.shape[0]}")
-    R = layout.residuals(p)
-    d = p - t
-    return float((np.sum(R * R) + np.sum(d * d)) / layout.n)
-
-
-def stage3_gradhess(
-    data: PanelDataset | GroupLayout, targets: StageTargets, preds: np.ndarray
-) -> GradHess:
-    layout = _layout(data)
-    t = _check_kind(targets, StageKind.STAGE3)
-    p = _check_lengths(t, preds)
-    n = layout.n
-    R_rows = layout.expand(layout.residuals(p))
-    grad = (-2.0 * R_rows + 2.0 * (p - t)) / n
-    hess = np.full(n, 4.0 / n)
-    return GradHess(grad, hess)
-
-
-# ---------------------------------------------------------------------------
-# constraint term in isolation (used by the trivial-solution probe)
-
-def constraint_only_loss(data: PanelDataset | GroupLayout, preds: np.ndarray) -> float:
-    layout = _layout(data)
-    p = np.asarray(preds, dtype=np.float64)
-    R = layout.residuals(p)
-    return float(np.sum(R * R) / layout.n)
-
-
-def constraint_only_gradhess(
-    data: PanelDataset | GroupLayout, preds: np.ndarray
-) -> GradHess:
-    layout = _layout(data)
-    p = np.asarray(preds, dtype=np.float64)
-    if p.shape != (layout.n,):
-        raise ValidationError(f"expected {layout.n} predictions, got shape {p.shape}")
-    n = layout.n
-    R_rows = layout.expand(layout.residuals(p))
-    grad = -2.0 * R_rows / n
-    hess = np.full(n, 2.0 / n)
-    return GradHess(grad, hess)
-
-
-# ---------------------------------------------------------------------------
-# engine-facing objective wrappers
 
 @dataclass(frozen=True)
 class Stage1Objective:
@@ -251,57 +96,60 @@ class Stage1Objective:
 
     targets: StageTargets
 
-    def __post_init__(self) -> None:
-        _check_kind(self.targets, StageKind.STAGE1)
-
     def base_score(self) -> float:
         return float(np.mean(self.targets.values))
 
     def loss(self, preds: np.ndarray) -> float:
-        return stage1_loss(self.targets, preds)
+        t = self.targets.values
+        r = t - _as_preds(preds, t.shape[0])
+        return float(np.mean(r * r))
 
     def grad_hess(self, preds: np.ndarray) -> GradHess:
-        return stage1_gradhess(self.targets, preds)
+        t = self.targets.values
+        m = t.shape[0]
+        grad = -2.0 * (t - _as_preds(preds, m)) / m
+        return GradHess(grad, np.full(m, 2.0 / m))
 
 
 @dataclass(frozen=True)
 class Stage2Objective:
-    """Pseudo-labeled squared error plus the weekly sum penalty."""
+    """Squared error against per-row targets plus the weekly sum penalty:
+    stage 2 with pseudo-labels."""
 
     layout: GroupLayout
     targets: StageTargets
 
     def __post_init__(self) -> None:
-        _check_kind(self.targets, StageKind.STAGE2)
+        if self.targets.values.shape != (self.layout.n,):
+            raise ValidationError(
+                f"expected {self.layout.n} targets, got {self.targets.values.shape[0]}"
+            )
 
     def base_score(self) -> float:
         return float(np.mean(self.targets.values))
 
     def loss(self, preds: np.ndarray) -> float:
-        return stage2_loss(self.layout, self.targets, preds)
+        p = _as_preds(preds, self.layout.n)
+        r = self.targets.values - p
+        R = self.layout.residuals(p)
+        return float((np.sum(r * r) + np.sum(R * R)) / self.layout.n)
 
     def grad_hess(self, preds: np.ndarray) -> GradHess:
-        return stage2_gradhess(self.layout, self.targets, preds)
+        n = self.layout.n
+        p = _as_preds(preds, n)
+        R_rows = self.layout.expand(self.layout.residuals(p))
+        grad = (-2.0 * (self.targets.values - p) - 2.0 * R_rows) / n
+        return GradHess(grad, np.full(n, 4.0 / n))
 
 
 @dataclass(frozen=True)
-class Stage3Objective:
-    """Weekly sum penalty plus the pull toward rescaled-share targets."""
+class Stage3Objective(Stage2Objective):
+    """Stage 2's loss with the rescaled-share targets of stage 3."""
 
-    layout: GroupLayout
-    targets: StageTargets
-
-    def __post_init__(self) -> None:
-        _check_kind(self.targets, StageKind.STAGE3)
-
-    def base_score(self) -> float:
-        return float(np.mean(self.targets.values))
-
-    def loss(self, preds: np.ndarray) -> float:
-        return stage3_loss(self.layout, self.targets, preds)
-
-    def grad_hess(self, preds: np.ndarray) -> GradHess:
-        return stage3_gradhess(self.layout, self.targets, preds)
+    # Bound again so that each class holds its own entry in ``__dict__``:
+    # span tracing wraps methods per class.
+    loss = Stage2Objective.loss
+    grad_hess = Stage2Objective.grad_hess
 
 
 @dataclass(frozen=True)
@@ -316,7 +164,10 @@ class ConstraintOnlyObjective:
         return 0.0
 
     def loss(self, preds: np.ndarray) -> float:
-        return constraint_only_loss(self.layout, preds)
+        R = self.layout.residuals(_as_preds(preds, self.layout.n))
+        return float(np.sum(R * R) / self.layout.n)
 
     def grad_hess(self, preds: np.ndarray) -> GradHess:
-        return constraint_only_gradhess(self.layout, preds)
+        n = self.layout.n
+        R_rows = self.layout.expand(self.layout.residuals(_as_preds(preds, n)))
+        return GradHess(-2.0 * R_rows / n, np.full(n, 2.0 / n))

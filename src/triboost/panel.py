@@ -1,10 +1,12 @@
-"""Panel data model: product-week rows, week groups, and CSV I/O.
+"""Panel data model: product-week rows, their week layout, and CSV I/O.
 
 A dataset is an ordered panel of product-week records.  Rows are sorted by
 ``(week_index, product_id)``.  The first ``m`` rows are historical (they
 carry actual sales); the remaining rows are future rows that instead carry a
-known weekly category total.  Rows of one week form a :class:`WeekGroup`,
-the coupling unit used by the sum-constrained objectives.
+known weekly category total.  The rows of one week are a contiguous slice
+and the coupling unit of the sum-constrained objectives;
+:meth:`GroupLayout.from_week_column` is the one routine that finds those
+slices and their category totals.
 
 Datasets are immutable after construction and safe to share across threads.
 """
@@ -50,33 +52,11 @@ class PanelRecord:
         )
 
 
-@dataclass(frozen=True)
-class WeekGroup:
-    """All rows of one calendar week plus that week's category total.
-
-    For historical weeks the total is the exact member-order sum of actual
-    sales; for future weeks it is the externally supplied total.
-    """
-
-    week_index: int
-    member_indices: tuple[int, ...]
-    count: int
-    category_total: float
-    is_future: bool
-
-    def __post_init__(self) -> None:
-        if self.count != len(self.member_indices) or self.count < 1:
-            raise ValidationError(
-                f"week {self.week_index}: count {self.count} does not match "
-                f"{len(self.member_indices)} member rows"
-            )
-
-
 @dataclass(frozen=True, eq=False)
 class GroupLayout:
-    """Compiled array view of a dataset's week groups.
+    """Compiled array view of a dataset's weeks.
 
-    Groups are contiguous, ordered slices of the row axis, so weekly
+    Each week is a contiguous, ordered slice of the row axis, so weekly
     aggregates reduce to segmented sums.  Pure data; safe to share.
     """
 
@@ -88,33 +68,63 @@ class GroupLayout:
     n: int
 
     @classmethod
-    def from_groups(cls, groups: Sequence[WeekGroup], n: int | None = None) -> "GroupLayout":
-        if not groups:
-            raise ValidationError("cannot build a group layout from zero groups")
-        if n is None:
-            n = sum(g.count for g in groups)
-        starts, counts, totals, weeks, future = [], [], [], [], []
-        expected = 0
-        for g in groups:
-            if list(g.member_indices) != list(range(expected, expected + g.count)):
-                raise ValidationError(
-                    f"week {g.week_index}: member rows are not a contiguous slice"
-                )
-            starts.append(expected)
-            counts.append(g.count)
-            totals.append(g.category_total)
-            weeks.append(g.week_index)
-            future.append(g.is_future)
-            expected += g.count
-        if expected != n:
-            raise ValidationError(f"groups cover {expected} rows, dataset has {n}")
+    def from_week_column(
+        cls,
+        week_of_row: Sequence[int] | np.ndarray,
+        sales: Sequence[float] | np.ndarray,
+        future_totals: Mapping[int, float] | None = None,
+    ) -> "GroupLayout":
+        """Group a sorted week column into one slice per week.
+
+        The first ``len(sales)`` rows are historical: a historical week's
+        total is the member-order sum of its ``sales``, accumulated left
+        to right (``np.add.reduceat`` adds in another order and can differ
+        in the last bits, even on three rows).  Every later week is a
+        future week whose total comes from ``future_totals``.
+        """
+        weeks = np.asarray(week_of_row, dtype=np.intp)
+        if weeks.ndim != 1 or weeks.size == 0:
+            raise ValidationError("cannot build a group layout from zero rows")
+        n = weeks.shape[0]
+        step_back = np.flatnonzero(np.diff(weeks) < 0)
+        if step_back.size:
+            i = int(step_back[0]) + 1
+            raise OrderingError(
+                f"week column is not sorted: row {i} has week {weeks[i]} after "
+                f"week {weeks[i - 1]}; each week must be one contiguous slice"
+            )
+        hist = np.asarray(sales, dtype=np.float64).tolist()
+        m = len(hist)
+        if m > n:
+            raise ValidationError(f"sales cover {m} rows, week column has {n}")
+        starts = np.flatnonzero(np.r_[True, weeks[1:] != weeks[:-1]])
+        ends = np.r_[starts[1:], n]
+        future_totals = future_totals or {}
+        totals = []
+        bounds = zip(starts.tolist(), ends.tolist(), weeks[starts].tolist())
+        for start, end, week in bounds:
+            if start < m < end:
+                raise OrderingError(f"week {week} mixes historical and future rows")
+            if start < m:
+                total = 0.0
+                for value in hist[start:end]:  # member order: deterministic accumulation
+                    total += value
+            elif week not in future_totals:
+                raise ConstraintDataError(f"future week {week} has no category total")
+            else:
+                total = float(future_totals[week])
+                if not np.isfinite(total) or total < 0:
+                    raise ConstraintDataError(
+                        f"future week {week}: category total must be finite and >= 0"
+                    )
+            totals.append(total)
         return cls(
-            starts=np.asarray(starts, dtype=np.intp),
-            counts=np.asarray(counts, dtype=np.intp),
+            starts=starts,
+            counts=ends - starts,
             totals=np.asarray(totals, dtype=np.float64),
-            weeks=np.asarray(weeks, dtype=np.intp),
-            is_future=np.asarray(future, dtype=bool),
-            n=int(n),
+            weeks=weeks[starts],
+            is_future=starts >= m,
+            n=n,
         )
 
     def weekly_sums(self, values: np.ndarray) -> np.ndarray:
@@ -132,7 +142,7 @@ class GroupLayout:
 
 @dataclass(frozen=True, eq=False)
 class PanelDataset:
-    """Immutable panel of records with week groups and the historical split.
+    """Immutable panel of records with its week layout and historical split.
 
     Rows ``0..m-1`` are historical, ``m..n-1`` are future.  Use
     :meth:`from_records` or :func:`load_panel_csv` to construct one; both
@@ -142,7 +152,7 @@ class PanelDataset:
     records: tuple[PanelRecord, ...]
     m: int
     n: int
-    groups: tuple[WeekGroup, ...]
+    layout: GroupLayout
     feature_names: tuple[str, ...]
 
     @classmethod
@@ -190,17 +200,17 @@ class PanelDataset:
                     "historical rows (with sales) must form a contiguous prefix; "
                     f"row {i} (week {r.week_index}) breaks it"
                 )
-        if m < len(records) and records[m - 1].week_index == records[m].week_index:
-            raise OrderingError(
-                f"week {records[m].week_index} mixes historical and future rows"
-            )
 
-        groups = build_week_groups(records, m, future_totals or {})
+        layout = GroupLayout.from_week_column(
+            [week for week, _ in keys],
+            [r.actual_sales for r in records[:m]],
+            future_totals,
+        )
         return cls(
             records=records,
             m=m,
             n=len(records),
-            groups=tuple(groups),
+            layout=layout,
             feature_names=tuple(feature_names),
         )
 
@@ -211,7 +221,7 @@ class PanelDataset:
             self.m == other.m
             and self.n == other.n
             and self.feature_names == other.feature_names
-            and self.groups == other.groups
+            and np.array_equal(self.layout.totals, other.layout.totals)
             and all(a == b for a, b in zip(self.records, other.records))
         )
 
@@ -231,63 +241,10 @@ class PanelDataset:
 
     @cached_property
     def week_of_row(self) -> np.ndarray:
-        w = np.asarray([r.week_index for r in self.records], dtype=np.intp)
+        """Week index of every row, length n. Read-only."""
+        w = np.repeat(self.layout.weeks, self.layout.counts)
         w.setflags(write=False)
         return w
-
-    @cached_property
-    def layout(self) -> GroupLayout:
-        return GroupLayout.from_groups(self.groups, self.n)
-
-    def future_groups(self) -> tuple[WeekGroup, ...]:
-        return tuple(g for g in self.groups if g.is_future)
-
-
-def build_week_groups(
-    records: Sequence[PanelRecord],
-    m: int,
-    future_totals: Mapping[int, float],
-) -> list[WeekGroup]:
-    """Partition sorted records into one group per week.
-
-    Historical group totals are member-order sums of actual sales (members
-    are ordered by product id, matching the dataset row order); future group
-    totals come from ``future_totals``.
-    """
-    groups: list[WeekGroup] = []
-    i = 0
-    n = len(records)
-    while i < n:
-        week = records[i].week_index
-        j = i
-        while j < n and records[j].week_index == week:
-            j += 1
-        is_future = i >= m
-        if is_future:
-            if week not in future_totals:
-                raise ConstraintDataError(
-                    f"future week {week} has no category total"
-                )
-            total = float(future_totals[week])
-            if not np.isfinite(total) or total < 0:
-                raise ConstraintDataError(
-                    f"future week {week}: category total must be finite and >= 0"
-                )
-        else:
-            total = 0.0
-            for r in records[i:j]:  # member order: deterministic accumulation
-                total += float(r.actual_sales)
-        groups.append(
-            WeekGroup(
-                week_index=week,
-                member_indices=tuple(range(i, j)),
-                count=j - i,
-                category_total=total,
-                is_future=is_future,
-            )
-        )
-        i = j
-    return groups
 
 
 @dataclass(frozen=True)
@@ -382,7 +339,7 @@ def _read_panel_file(
             if header is None:
                 raise SchemaError(f"{path}: empty file, header required")
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
     col = {name: i for i, name in enumerate(header)}
@@ -441,7 +398,7 @@ def save_panel_csv(
     schema = schema or CsvSchema()
     if schema.features is not None and tuple(schema.features) != dataset.feature_names:
         raise ValidationError("schema feature names do not match the dataset")
-    totals = {g.week_index: g.category_total for g in dataset.groups if g.is_future}
+    totals = dict(zip(dataset.layout.weeks.tolist(), dataset.layout.totals.tolist()))
     indices = range(dataset.n) if rows is None else rows
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:

@@ -26,11 +26,9 @@ from .errors import TriboostError, ValidationError
 from .gbdt import GbdtModel, TrainConfig, fit
 from .objectives import (
     ConstraintOnlyObjective,
-    RatioVector,
     Stage1Objective,
     Stage2Objective,
     Stage3Objective,
-    StageKind,
     StageTargets,
     pred_ratio,
     stage3_target,
@@ -80,7 +78,7 @@ class StageOutputs:
     stage1: np.ndarray
     stage2: np.ndarray
     stage3: np.ndarray
-    ratios: RatioVector
+    ratios: np.ndarray
     stage3_targets: StageTargets
 
 
@@ -149,7 +147,7 @@ def pseudo_label_targets(dataset: PanelDataset, stage1_preds: np.ndarray) -> Sta
             f"expected {dataset.n} stage-1 predictions, got shape {p.shape}"
         )
     values = np.concatenate([dataset.actuals, p[dataset.m :]])
-    return StageTargets(values=values, kind=StageKind.STAGE2)
+    return StageTargets(values)
 
 
 def stage3_features(features: np.ndarray, stage2_preds: np.ndarray) -> np.ndarray:
@@ -162,17 +160,13 @@ def stage3_features(features: np.ndarray, stage2_preds: np.ndarray) -> np.ndarra
     return np.column_stack([features, p])
 
 
-def run_stage1(
-    dataset: PanelDataset, config: TrainConfig, *, n_threads: int = 1
-) -> StageFit:
+def run_stage1(dataset: PanelDataset, config: TrainConfig) -> StageFit:
     """Fit squared error on the m historical rows; predict all n rows."""
-    targets = StageTargets(values=dataset.actuals, kind=StageKind.STAGE1)
     losses: list[float] = []
     model = fit(
         dataset.features[: dataset.m],
-        Stage1Objective(targets),
+        Stage1Objective(StageTargets(dataset.actuals)),
         config,
-        n_threads=n_threads,
         loss_history=losses,
     )
     return StageFit(
@@ -183,11 +177,7 @@ def run_stage1(
 
 
 def run_stage2(
-    dataset: PanelDataset,
-    stage1_preds: np.ndarray,
-    config: TrainConfig,
-    *,
-    n_threads: int = 1,
+    dataset: PanelDataset, stage1_preds: np.ndarray, config: TrainConfig
 ) -> StageFit:
     """Refit on all n rows with pseudo-labels and the weekly sum penalty."""
     targets = pseudo_label_targets(dataset, stage1_preds)
@@ -196,7 +186,6 @@ def run_stage2(
         dataset.features,
         Stage2Objective(dataset.layout, targets),
         config,
-        n_threads=n_threads,
         loss_history=losses,
     )
     return StageFit(
@@ -211,9 +200,7 @@ def run_stage3(
     stage1_preds: np.ndarray,
     stage2_preds: np.ndarray,
     config: TrainConfig,
-    *,
-    n_threads: int = 1,
-) -> tuple[StageFit, RatioVector, StageTargets]:
+) -> tuple[StageFit, np.ndarray, StageTargets]:
     """Fine-tune toward rescaled-share targets on the augmented features.
 
     Stage-2 predictions enter as an input column only — the targets come
@@ -227,7 +214,6 @@ def run_stage3(
         X3,
         Stage3Objective(dataset.layout, targets),
         config,
-        n_threads=n_threads,
         loss_history=losses,
     )
     stage_fit = StageFit(
@@ -257,13 +243,10 @@ def run_pipeline(
     """
     config = config or PipelineConfig()
     cfg1, cfg2, cfg3 = config.resolved()
-    s1 = _in_stage("stage1", lambda: run_stage1(dataset, cfg1, n_threads=n_threads))
-    s2 = _in_stage(
-        "stage2", lambda: run_stage2(dataset, s1.preds, cfg2, n_threads=n_threads)
-    )
+    s1 = _in_stage("stage1", lambda: run_stage1(dataset, cfg1))
+    s2 = _in_stage("stage2", lambda: run_stage2(dataset, s1.preds, cfg2))
     s3, ratios, targets3 = _in_stage(
-        "stage3",
-        lambda: run_stage3(dataset, s1.preds, s2.preds, cfg3, n_threads=n_threads),
+        "stage3", lambda: run_stage3(dataset, s1.preds, s2.preds, cfg3)
     )
     outputs = StageOutputs(
         stage1=s1.preds,
@@ -274,17 +257,14 @@ def run_pipeline(
     )
     report = None
     if with_diagnostics:
-        report = diagnose(dataset, outputs, config, n_threads=n_threads)
+        report = diagnose(dataset, outputs, config)
     return PipelineResult(
         outputs=outputs, diagnostics=report, stage1=s1, stage2=s2, stage3=s3
     )
 
 
 def trivial_solution_probe(
-    dataset: PanelDataset,
-    config: TrainConfig = PROBE_CONFIG,
-    *,
-    n_threads: int = 1,
+    dataset: PanelDataset, config: TrainConfig = PROBE_CONFIG
 ) -> ProbeResult:
     """Train on the constraint term alone with the week index as the only
     feature (zero variance within each week).
@@ -297,13 +277,7 @@ def trivial_solution_probe(
     layout = dataset.layout
     week_col = dataset.week_of_row.astype(np.float64)[:, None]
     losses: list[float] = []
-    model = fit(
-        week_col,
-        ConstraintOnlyObjective(layout),
-        config,
-        n_threads=n_threads,
-        loss_history=losses,
-    )
+    model = fit(week_col, ConstraintOnlyObjective(layout), config, loss_history=losses)
     preds = model.predict(week_col)
     weekly = layout.weekly_sums(preds) / layout.counts
     targets = layout.totals / layout.counts
@@ -341,8 +315,6 @@ def diagnose(
     dataset: PanelDataset,
     outputs: StageOutputs,
     config: PipelineConfig | None = None,
-    *,
-    n_threads: int = 1,
 ) -> DiagnosticsReport:
     """Failure-mode report for a finished run; see the module docstring."""
     config = config or PipelineConfig()
@@ -357,7 +329,7 @@ def diagnose(
     }
     squared_sum = float(np.sum(deviation[future] ** 2))
 
-    direction, rate = _held_out_bias(dataset, config, n_threads)
+    direction, rate = _held_out_bias(dataset, config)
 
     # Term magnitudes of the stage-2 objective at its trained solution.  The
     # fit term is restricted to pseudo-labelled rows (where the two terms can
@@ -374,7 +346,7 @@ def diagnose(
     constraint_future = float(np.sum(R[future] * R[future]) / n)
     ratio = fit_term / constraint_term if constraint_term > 0 else float("inf")
 
-    probe = trivial_solution_probe(dataset, n_threads=n_threads)
+    probe = trivial_solution_probe(dataset)
 
     return DiagnosticsReport(
         stage1_weekly_deviation=weekly_dev,
@@ -391,27 +363,22 @@ def diagnose(
 
 
 def _held_out_bias(
-    dataset: PanelDataset, config: PipelineConfig, n_threads: int
+    dataset: PanelDataset, config: PipelineConfig
 ) -> tuple[str, float]:
     """Refit stage 1 without the last fifth of historical weeks and tally
     the sign of its errors there.  One-sided errors on weeks the model
     never saw are the evidence that its future predictions will be biased
     the same way."""
-    hist_weeks = sorted({r.week_index for r in dataset.records[: dataset.m]})
+    layout = dataset.layout
+    hist_weeks = layout.weeks[~layout.is_future]
     if len(hist_weeks) < 2:
         return "mixed", 0.0
     tail_count = max(1, round(0.2 * len(hist_weeks)))
-    tail_weeks = set(hist_weeks[-tail_count:])
-    week_of_row = dataset.week_of_row[: dataset.m]
-    in_tail = np.asarray([w in tail_weeks for w in week_of_row])
-    if not in_tail.any() or in_tail.all():
-        return "mixed", 0.0
+    # Rows are sorted by week, so the tail weeks' rows end the historical prefix.
+    in_tail = dataset.week_of_row[: dataset.m] >= hist_weeks[-tail_count]
 
     head_X = dataset.features[: dataset.m][~in_tail]
     head_y = dataset.actuals[~in_tail]
-    targets = StageTargets(values=head_y, kind=StageKind.STAGE1)
-    model = fit(
-        head_X, Stage1Objective(targets), config.resolved()[0], n_threads=n_threads
-    )
+    model = fit(head_X, Stage1Objective(StageTargets(head_y)), config.resolved()[0])
     tail_pred = model.predict(dataset.features[: dataset.m][in_tail])
     return bias_tally(tail_pred - dataset.actuals[in_tail])

@@ -31,7 +31,6 @@ from triboost.objectives import (
     Stage1Objective,
     Stage2Objective,
     Stage3Objective,
-    StageKind,
     StageTargets,
     pred_ratio,
     stage3_target,
@@ -60,21 +59,21 @@ def test_criterion_1_gradients_match_finite_differences(report):
         cases = [
             (
                 Stage1Objective(
-                    StageTargets(rng.uniform(0.5, 40.0, ds.m), StageKind.STAGE1)
+                    StageTargets(rng.uniform(0.5, 40.0, ds.m))
                 ),
                 ds.m,
             ),
             (
                 Stage2Objective(
                     layout,
-                    StageTargets(rng.uniform(0.5, 40.0, ds.n), StageKind.STAGE2),
+                    StageTargets(rng.uniform(0.5, 40.0, ds.n)),
                 ),
                 ds.n,
             ),
             (
                 Stage3Objective(
                     layout,
-                    StageTargets(rng.uniform(0.5, 40.0, ds.n), StageKind.STAGE3),
+                    StageTargets(rng.uniform(0.5, 40.0, ds.n)),
                 ),
                 ds.n,
             ),
@@ -117,7 +116,7 @@ def test_criterion_2_engine_matches_brute_force(report):
             base, oracle_trees, oracle_preds = brute_force_fit_squared_error(
                 X, y, config
             )
-            targets = StageTargets(values=y, kind=StageKind.STAGE1)
+            targets = StageTargets(values=y)
             model = fit(X, Stage1Objective(targets), config)
             assert_same_model(model, base, oracle_trees)
             assert np.array_equal(model.predict(X), np.asarray(oracle_preds)), (
@@ -183,13 +182,13 @@ def test_criterion_4_rescaled_targets_sum_to_totals(report, bias_sweep):
 def test_criterion_5_ratios_invariant_to_uniform_scaling(report, bias_sweep):
     ds, result = bias_sweep[0.15]
     s1 = result.outputs.stage1
-    base_ratios = result.outputs.ratios.values
+    base_ratios = result.outputs.ratios
     base_targets = result.outputs.stage3_targets.values
     worst_ratio = worst_target = 0.0
     for k in (0.5, 1.3, 10.0):
         scaled = pred_ratio(s1 * k, ds.layout)
         worst_ratio = max(
-            worst_ratio, float(np.max(np.abs(scaled.values - base_ratios)))
+            worst_ratio, float(np.max(np.abs(scaled - base_ratios)))
         )
         targets = stage3_target(scaled, ds.layout).values
         worst_target = max(

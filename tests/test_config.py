@@ -120,7 +120,7 @@ class TestPipelineConfigFromMapping:
     def test_round_trip_through_echo(self):
         cfg = TrainConfig(num_rounds=77, max_depth=4, learning_rate=0.3,
                           reg_lambda=2.0, min_child_weight=1e-3,
-                          min_gain=0.1, seed=9)
+                          min_gain=0.1)
         echo = {k: str(v) for k, v in train_config_echo(cfg).items()}
         assert pipeline_config_from_mapping(echo).stage1 == cfg
 

@@ -32,12 +32,11 @@ from triboost.gbdt import (
     load_model,
     save_model,
 )
-from triboost.objectives import Stage1Objective, StageKind, StageTargets
+from triboost.objectives import Stage1Objective, StageTargets
 
 
 def mse_objective(y):
-    return Stage1Objective(StageTargets(values=np.asarray(y, float),
-                                        kind=StageKind.STAGE1))
+    return Stage1Objective(StageTargets(values=np.asarray(y, float)))
 
 
 class TestTrainConfig:
@@ -259,15 +258,6 @@ class TestFit:
 
         with pytest.raises(ObjectiveError, match="pairs"):
             fit(np.zeros((3, 1)), Broken(), TrainConfig(num_rounds=1))
-
-    def test_threads_do_not_change_model(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(80, 4))
-        y = rng.normal(size=80)
-        cfg = TrainConfig(num_rounds=10, max_depth=4)
-        one = fit(X, mse_objective(y), cfg, n_threads=1)
-        four = fit(X, mse_objective(y), cfg, n_threads=4)
-        assert one.to_dict() == four.to_dict()
 
     @given(
         n=st.integers(min_value=2, max_value=8),

@@ -8,27 +8,30 @@ from oracles import fd_gradient, fd_hessian_diag, rel_err
 from triboost.errors import DegenerateRatioError, ValidationError
 from triboost.objectives import (
     ConstraintOnlyObjective,
-    RatioVector,
     Stage1Objective,
     Stage2Objective,
     Stage3Objective,
-    StageKind,
     StageTargets,
-    constraint_only_gradhess,
-    constraint_only_loss,
     pred_ratio,
-    stage1_gradhess,
-    stage1_loss,
-    stage2_gradhess,
-    stage2_loss,
-    stage3_gradhess,
-    stage3_loss,
     stage3_target,
 )
+from triboost.panel import GroupLayout
 
 
-def targets(values, kind):
-    return StageTargets(values=np.asarray(values, float), kind=kind)
+def targets(values):
+    return StageTargets(values=np.asarray(values, float))
+
+
+def stage1(values):
+    return Stage1Objective(targets(values))
+
+
+def stage2(data, values):
+    return Stage2Objective(data.layout, targets(values))
+
+
+def stage3(data, values):
+    return Stage3Objective(data.layout, targets(values))
 
 
 @pytest.fixture()
@@ -40,150 +43,133 @@ def two_week_panel():
 class TestStageTargets:
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
-            targets([1.0, np.nan], StageKind.STAGE1)
+            targets([1.0, np.nan])
 
     def test_matrix_rejected(self):
         with pytest.raises(ValidationError):
-            StageTargets(values=np.zeros((2, 2)), kind=StageKind.STAGE1)
-
-    def test_kind_mismatch_rejected(self):
-        t = targets([1.0], StageKind.STAGE2)
-        with pytest.raises(ValidationError, match="stage1"):
-            stage1_loss(t, np.zeros(1))
+            StageTargets(values=np.zeros((2, 2)))
 
 
 class TestStage1:
     def test_loss_is_mse(self):
-        t = targets([1.0, 3.0], StageKind.STAGE1)
-        assert stage1_loss(t, np.array([0.0, 0.0])) == 5.0
+        assert stage1([1.0, 3.0]).loss(np.array([0.0, 0.0])) == 5.0
 
     def test_grad_hand_value(self):
-        t = targets([1.0, 3.0], StageKind.STAGE1)
-        gh = stage1_gradhess(t, np.array([0.0, 0.0]))
+        gh = stage1([1.0, 3.0]).grad_hess(np.array([0.0, 0.0]))
         assert gh.grad.tolist() == [-1.0, -3.0]
         assert gh.hess.tolist() == [1.0, 1.0]
 
     def test_zero_gradient_at_targets(self):
-        t = targets([1.0, 3.0], StageKind.STAGE1)
-        assert stage1_gradhess(t, t.values).grad.tolist() == [0.0, 0.0]
+        obj = stage1([1.0, 3.0])
+        assert obj.grad_hess(obj.targets.values).grad.tolist() == [0.0, 0.0]
 
     def test_length_mismatch(self):
-        t = targets([1.0, 3.0], StageKind.STAGE1)
         with pytest.raises(ValidationError, match="shape"):
-            stage1_loss(t, np.zeros(3))
+            stage1([1.0, 3.0]).loss(np.zeros(3))
 
 
 class TestStage2:
     def test_loss_hand_value(self, two_week_panel):
         # preds [2, 2, 3, 3]: fit errors (1, -1, 1, 1), weekly residuals
         # (0, 4): loss = (1+1+1+1)/4 + (0+16)/4 = 5.
-        t = targets([3.0, 1.0, 4.0, 4.0], StageKind.STAGE2)
+        obj = stage2(two_week_panel, [3.0, 1.0, 4.0, 4.0])
         preds = np.array([2.0, 2.0, 3.0, 3.0])
-        assert stage2_loss(two_week_panel, t, preds) == 5.0
+        assert obj.loss(preds) == 5.0
 
     def test_grad_hand_value(self, two_week_panel):
-        t = targets([3.0, 1.0, 4.0, 4.0], StageKind.STAGE2)
-        preds = np.array([2.0, 2.0, 3.0, 3.0])
-        gh = stage2_gradhess(two_week_panel, t, preds)
+        obj = stage2(two_week_panel, [3.0, 1.0, 4.0, 4.0])
+        gh = obj.grad_hess(np.array([2.0, 2.0, 3.0, 3.0]))
         # row grad = (-2 fit_err - 2 R_week)/n
         assert gh.grad.tolist() == [-0.5, 0.5, -2.5, -2.5]
         assert gh.hess.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_zero_gradient_needs_both_terms(self, two_week_panel):
         # Matching the pseudo-labels alone leaves the constraint pulling.
-        t = targets([3.0, 1.0, 4.0, 4.0], StageKind.STAGE2)
-        gh = stage2_gradhess(two_week_panel, t, t.values)
+        obj = stage2(two_week_panel, [3.0, 1.0, 4.0, 4.0])
+        gh = obj.grad_hess(obj.targets.values)
         assert gh.grad[:2].tolist() == [0.0, 0.0]  # historical week consistent
         assert np.all(gh.grad[2:] < 0)  # future week still short of total
 
     def test_layout_or_dataset_equivalent(self, two_week_panel):
-        t = targets([3.0, 1.0, 4.0, 4.0], StageKind.STAGE2)
+        # The dataset's layout and one rebuilt from its week column agree.
+        ds = two_week_panel
+        rebuilt = GroupLayout.from_week_column(ds.week_of_row, ds.actuals, {1: 10.0})
+        t = targets([3.0, 1.0, 4.0, 4.0])
         preds = np.array([2.0, 2.0, 3.0, 3.0])
-        assert stage2_loss(two_week_panel, t, preds) == stage2_loss(
-            two_week_panel.layout, t, preds
-        )
+        assert Stage2Objective(ds.layout, t).loss(preds) == Stage2Objective(
+            rebuilt, t
+        ).loss(preds)
 
     def test_wrong_target_count(self, two_week_panel):
-        t = targets([1.0, 2.0], StageKind.STAGE2)
         with pytest.raises(ValidationError):
-            stage2_loss(two_week_panel, t, np.zeros(2))
+            stage2(two_week_panel, [1.0, 2.0]).loss(np.zeros(2))
 
 
 class TestPredRatio:
     def test_hand_values(self, two_week_panel):
-        ratios = pred_ratio(np.array([3.0, 1.0, 5.0, 15.0]), two_week_panel)
-        assert ratios.values.tolist() == [0.75, 0.25, 0.25, 0.75]
+        ratios = pred_ratio(np.array([3.0, 1.0, 5.0, 15.0]), two_week_panel.layout)
+        assert ratios.tolist() == [0.75, 0.25, 0.25, 0.75]
 
     def test_weekly_sums_are_one(self, two_week_panel):
         rng = np.random.default_rng(0)
         preds = rng.uniform(1.0, 9.0, size=4)
-        ratios = pred_ratio(preds, two_week_panel)
-        sums = two_week_panel.layout.weekly_sums(ratios.values)
+        ratios = pred_ratio(preds, two_week_panel.layout)
+        sums = two_week_panel.layout.weekly_sums(ratios)
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
 
     def test_degenerate_sum_names_week(self, two_week_panel):
         with pytest.raises(DegenerateRatioError, match="week 1"):
-            pred_ratio(np.array([3.0, 1.0, 1.0, -1.0]), two_week_panel)
+            pred_ratio(np.array([3.0, 1.0, 1.0, -1.0]), two_week_panel.layout)
 
     @pytest.mark.parametrize("k", [0.5, 1.3, 10.0])
     def test_scale_invariance(self, two_week_panel, k):
         preds = np.array([3.0, 1.0, 5.0, 15.0])
         scaled = preds.copy()
         scaled[2:] *= k  # uniform within-week rescale
-        base = pred_ratio(preds, two_week_panel).values
-        bumped = pred_ratio(scaled, two_week_panel).values
+        base = pred_ratio(preds, two_week_panel.layout)
+        bumped = pred_ratio(scaled, two_week_panel.layout)
         assert np.max(np.abs(base - bumped)) < 1e-12
-
-    def test_validated_accepts_good_shares(self, two_week_panel):
-        RatioVector.validated(np.array([0.6, 0.4, 0.5, 0.5]),
-                              two_week_panel.layout)
-
-    def test_validated_rejects_bad_shares(self, two_week_panel):
-        with pytest.raises(ValidationError, match="week 0"):
-            RatioVector.validated(np.array([0.6, 0.6, 0.5, 0.5]),
-                                  two_week_panel.layout)
 
 
 class TestStage3Targets:
     def test_quarter_share_of_hundred(self):
         ds = make_panel({0: [1.0]}, {1: (4, 100.0)})
-        ratios = RatioVector(np.array([1.0, 0.25, 0.25, 0.25, 0.25]))
-        t = stage3_target(ratios, ds)
-        assert t.kind is StageKind.STAGE3
+        t = stage3_target(np.array([1.0, 0.25, 0.25, 0.25, 0.25]), ds.layout)
+        assert isinstance(t, StageTargets)
         assert t.values[1:].tolist() == [25.0, 25.0, 25.0, 25.0]
 
     def test_weekly_sums_equal_totals_exactly(self, two_week_panel):
         preds = np.array([3.0, 1.0, 5.0, 15.0])
-        t = stage3_target(pred_ratio(preds, two_week_panel), two_week_panel)
+        layout = two_week_panel.layout
+        t = stage3_target(pred_ratio(preds, layout), layout)
         sums = two_week_panel.layout.weekly_sums(t.values)
         totals = two_week_panel.layout.totals
         assert np.all(np.abs(sums - totals) <= 1e-9 * np.abs(totals))
 
     def test_uniform_ratios_reproduce_trivial_constant(self):
         ds = make_panel({0: [2.0, 2.0]}, {1: (4, 12.0)})
-        ratios = RatioVector(np.array([0.5, 0.5, 0.25, 0.25, 0.25, 0.25]))
-        t = stage3_target(ratios, ds)
+        ratios = np.array([0.5, 0.5, 0.25, 0.25, 0.25, 0.25])
+        t = stage3_target(ratios, ds.layout)
         assert t.values[2:].tolist() == [3.0, 3.0, 3.0, 3.0]
 
 
 class TestStage3Loss:
     def test_hand_value(self, two_week_panel):
-        t = targets([3.0, 1.0, 2.5, 7.5], StageKind.STAGE3)
+        obj = stage3(two_week_panel, [3.0, 1.0, 2.5, 7.5])
         preds = np.array([3.0, 1.0, 2.0, 7.0])
         # residuals (0, 1); pulls (0, 0, -0.5, -0.5)
-        assert stage3_loss(two_week_panel, t, preds) == (1.0 + 0.5) / 4.0
+        assert obj.loss(preds) == (1.0 + 0.5) / 4.0
 
     def test_grad_hand_value(self, two_week_panel):
-        t = targets([3.0, 1.0, 2.5, 7.5], StageKind.STAGE3)
-        preds = np.array([3.0, 1.0, 2.0, 7.0])
-        gh = stage3_gradhess(two_week_panel, t, preds)
+        obj = stage3(two_week_panel, [3.0, 1.0, 2.5, 7.5])
+        gh = obj.grad_hess(np.array([3.0, 1.0, 2.0, 7.0]))
         assert gh.grad.tolist() == [0.0, 0.0, -0.75, -0.75]
         assert gh.hess.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_minimum_at_consistent_targets(self, two_week_panel):
         # Targets that already satisfy the constraint zero the gradient.
-        t = targets([3.0, 1.0, 2.5, 7.5], StageKind.STAGE3)
-        gh = stage3_gradhess(two_week_panel, t, t.values)
+        obj = stage3(two_week_panel, [3.0, 1.0, 2.5, 7.5])
+        gh = obj.grad_hess(obj.targets.values)
         assert gh.grad.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
@@ -191,42 +177,39 @@ class TestConstraintOnly:
     def test_loss_hand_value(self, two_week_panel):
         preds = np.array([1.0, 1.0, 2.0, 3.0])
         # residuals (2, 5)
-        assert constraint_only_loss(two_week_panel, preds) == (4.0 + 25.0) / 4.0
+        obj = ConstraintOnlyObjective(two_week_panel.layout)
+        assert obj.loss(preds) == (4.0 + 25.0) / 4.0
 
     def test_grad_is_week_constant(self, two_week_panel):
         preds = np.array([1.0, 1.0, 2.0, 3.0])
-        gh = constraint_only_gradhess(two_week_panel, preds)
+        gh = ConstraintOnlyObjective(two_week_panel.layout).grad_hess(preds)
         assert gh.grad.tolist() == [-1.0, -1.0, -2.5, -2.5]
         assert gh.hess.tolist() == [0.5, 0.5, 0.5, 0.5]
 
     def test_zero_at_satisfied_constraint(self, two_week_panel):
         preds = np.array([2.0, 2.0, 5.0, 5.0])
-        assert constraint_only_loss(two_week_panel, preds) == 0.0
-        assert constraint_only_gradhess(two_week_panel, preds).grad.tolist() == [
+        obj = ConstraintOnlyObjective(two_week_panel.layout)
+        assert obj.loss(preds) == 0.0
+        assert obj.grad_hess(preds).grad.tolist() == [
             0.0, 0.0, 0.0, 0.0,
         ]
 
 
 class TestObjectiveWrappers:
     def test_base_scores(self, two_week_panel):
-        t1 = targets([2.0, 4.0], StageKind.STAGE1)
-        assert Stage1Objective(t1).base_score() == 3.0
-        t2 = targets([1.0, 2.0, 3.0, 4.0], StageKind.STAGE2)
-        assert Stage2Objective(two_week_panel.layout, t2).base_score() == 2.5
+        assert stage1([2.0, 4.0]).base_score() == 3.0
+        assert stage2(two_week_panel, [1.0, 2.0, 3.0, 4.0]).base_score() == 2.5
         assert ConstraintOnlyObjective(two_week_panel.layout).base_score() == 0.0
 
     def test_wrapper_matches_functions(self, two_week_panel):
-        t = targets([3.0, 1.0, 4.0, 4.0], StageKind.STAGE2)
-        obj = Stage2Objective(two_week_panel.layout, t)
+        # Stage 3 trains on stage 2's loss, bit for bit, under its own name.
+        values = [3.0, 1.0, 4.0, 4.0]
+        s2, s3 = stage2(two_week_panel, values), stage3(two_week_panel, values)
         preds = np.array([2.0, 2.0, 3.0, 3.0])
-        assert obj.loss(preds) == stage2_loss(two_week_panel, t, preds)
-        assert np.array_equal(obj.grad_hess(preds).grad,
-                              stage2_gradhess(two_week_panel, t, preds).grad)
-
-    def test_kind_checked_at_construction(self, two_week_panel):
-        t = targets([1.0, 2.0, 3.0, 4.0], StageKind.STAGE2)
-        with pytest.raises(ValidationError):
-            Stage3Objective(two_week_panel.layout, t)
+        assert s3.loss(preds) == s2.loss(preds)
+        assert np.array_equal(s3.grad_hess(preds).grad, s2.grad_hess(preds).grad)
+        for method in ("loss", "grad_hess"):
+            assert method in vars(Stage3Objective)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -234,12 +217,12 @@ class TestObjectiveWrappers:
 def test_stage2_derivatives_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     ds = random_panel(rng)
-    t = targets(rng.uniform(0.5, 40.0, size=ds.n), StageKind.STAGE2)
+    obj = stage2(ds, rng.uniform(0.5, 40.0, size=ds.n))
     preds = rng.uniform(0.0, 40.0, size=ds.n)
-    gh = stage2_gradhess(ds, t, preds)
-    fd = fd_gradient(lambda p: stage2_loss(ds, t, p), preds)
+    gh = obj.grad_hess(preds)
+    fd = fd_gradient(obj.loss, preds)
     assert rel_err(gh.grad, fd) < 1e-6
-    fd2 = fd_hessian_diag(lambda p: stage2_loss(ds, t, p), preds)
+    fd2 = fd_hessian_diag(obj.loss, preds)
     assert rel_err(gh.hess, fd2) < 1e-4
 
 
@@ -248,10 +231,10 @@ def test_stage2_derivatives_match_finite_differences(seed):
 def test_stage3_derivatives_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     ds = random_panel(rng)
-    t = targets(rng.uniform(0.5, 40.0, size=ds.n), StageKind.STAGE3)
+    obj = stage3(ds, rng.uniform(0.5, 40.0, size=ds.n))
     preds = rng.uniform(0.0, 40.0, size=ds.n)
-    gh = stage3_gradhess(ds, t, preds)
-    fd = fd_gradient(lambda p: stage3_loss(ds, t, p), preds)
+    gh = obj.grad_hess(preds)
+    fd = fd_gradient(obj.loss, preds)
     assert rel_err(gh.grad, fd) < 1e-6
-    fd2 = fd_hessian_diag(lambda p: stage3_loss(ds, t, p), preds)
+    fd2 = fd_hessian_diag(obj.loss, preds)
     assert rel_err(gh.hess, fd2) < 1e-4

@@ -15,8 +15,6 @@ from triboost.panel import (
     GroupLayout,
     PanelDataset,
     PanelRecord,
-    WeekGroup,
-    build_week_groups,
     load_panel_csv,
     save_panel_csv,
 )
@@ -107,25 +105,34 @@ class TestWeekGroups:
         expected = 0.0
         for s in sales:
             expected += s
-        assert ds.groups[0].category_total == expected
+        assert ds.layout.totals[0] == expected
+
+    def test_wide_week_total_is_member_order_sum_not_reduceat(self):
+        # np.add.reduceat does not add left to right; on these twelve
+        # sales it gives different last bits, so the total must come from
+        # the left-to-right loop.
+        sales = [0.1 * (i + 1) for i in range(12)]
+        expected = 0.0
+        for s in sales:
+            expected += s
+        reduced = np.add.reduceat(np.asarray(sales), [0])[0]
+        assert reduced != expected
+        layout = GroupLayout.from_week_column([3] * 12, sales)
+        assert layout.totals.tolist() == [expected]
 
     def test_future_total_comes_from_mapping(self):
         ds = make_panel({0: [1.0]}, {1: (2, 42.5)})
-        assert ds.groups[1].category_total == 42.5
-        assert ds.groups[1].is_future
+        assert ds.layout.totals[1] == 42.5
+        assert ds.layout.is_future[1]
 
     def test_group_membership(self):
         ds = make_panel({0: [1, 2, 3], 2: [4, 5]}, {5: (2, 9.0)})
-        assert [g.week_index for g in ds.groups] == [0, 2, 5]
-        assert [g.member_indices for g in ds.groups] == [
-            (0, 1, 2), (3, 4), (5, 6),
-        ]
-        assert ds.future_groups() == (ds.groups[2],)
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="count"):
-            WeekGroup(week_index=0, member_indices=(0, 1), count=3,
-                      category_total=1.0, is_future=False)
+        lay = ds.layout
+        assert lay.weeks.tolist() == [0, 2, 5]
+        members = [list(range(s, s + c)) for s, c in zip(lay.starts, lay.counts)]
+        assert members == [[0, 1, 2], [3, 4], [5, 6]]
+        assert lay.is_future.tolist() == [False, False, True]
+        assert ds.week_of_row.tolist() == [0, 0, 0, 2, 2, 5, 5]
 
 
 class TestGroupLayout:
@@ -142,9 +149,9 @@ class TestGroupLayout:
         ds = make_panel({0: [1, 2], 1: [3, 4, 5]}, {2: (2, 7.0)})
         values = np.arange(1.0, 8.0) * 1.37
         slow = []
-        for g in ds.groups:
+        for s, c in zip(ds.layout.starts, ds.layout.counts):
             acc = 0.0
-            for i in g.member_indices:
+            for i in range(s, s + c):
                 acc += values[i]
             slow.append(acc)
         assert ds.layout.weekly_sums(values).tolist() == slow
@@ -160,20 +167,17 @@ class TestGroupLayout:
         assert out.tolist() == [5.0, 5.0, 7.0]
 
     def test_non_contiguous_members_rejected(self):
-        g = WeekGroup(week_index=0, member_indices=(0, 2), count=2,
-                      category_total=1.0, is_future=False)
-        with pytest.raises(ValidationError, match="contiguous"):
-            GroupLayout.from_groups([g], 3)
+        # week 0's rows are 0 and 2: the week column is not sorted
+        with pytest.raises(OrderingError, match="contiguous"):
+            GroupLayout.from_week_column([0, 1, 0], [1.0, 1.0, 1.0])
 
     def test_coverage_mismatch_rejected(self):
-        g = WeekGroup(week_index=0, member_indices=(0, 1), count=2,
-                      category_total=1.0, is_future=False)
         with pytest.raises(ValidationError, match="cover"):
-            GroupLayout.from_groups([g], 5)
+            GroupLayout.from_week_column([0, 0], [1.0] * 5)
 
     def test_zero_groups_rejected(self):
         with pytest.raises(ValidationError):
-            GroupLayout.from_groups([], 0)
+            GroupLayout.from_week_column([], [])
 
     @given(
         counts=st.lists(st.integers(min_value=1, max_value=6), min_size=1,
@@ -183,16 +187,8 @@ class TestGroupLayout:
     @settings(max_examples=40, deadline=None)
     def test_expand_then_sum_scales_by_count(self, counts, seed):
         rng = np.random.default_rng(seed)
-        groups = []
-        start = 0
-        for w, c in enumerate(counts):
-            groups.append(WeekGroup(
-                week_index=w, member_indices=tuple(range(start, start + c)),
-                count=c, category_total=float(rng.uniform(1, 100)),
-                is_future=False,
-            ))
-            start += c
-        lay = GroupLayout.from_groups(groups)
+        weeks = np.repeat(np.arange(len(counts)), counts)
+        lay = GroupLayout.from_week_column(weeks, rng.uniform(1, 100, weeks.size))
         weekly = rng.normal(size=len(counts))
         sums = lay.weekly_sums(lay.expand(weekly))
         assert np.allclose(sums, weekly * lay.counts, rtol=1e-12)
@@ -313,6 +309,10 @@ def test_build_week_groups_marks_future_from_m():
         rec("P1", 0, [0.0], 2.5),
         rec("P0", 1, [0.0]),
     ]
-    groups = build_week_groups(records, 2, {1: 9.0})
-    assert [g.is_future for g in groups] == [False, True]
-    assert groups[0].category_total == 4.0
+    layout = GroupLayout.from_week_column(
+        [r.week_index for r in records],
+        [r.actual_sales for r in records[:2]],
+        {1: 9.0},
+    )
+    assert layout.is_future.tolist() == [False, True]
+    assert layout.totals[0] == 4.0

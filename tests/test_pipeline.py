@@ -4,7 +4,7 @@ import pytest
 from conftest import make_panel
 from triboost.errors import DegenerateRatioError, ValidationError
 from triboost.gbdt import TrainConfig
-from triboost.objectives import StageKind, pred_ratio, stage3_target
+from triboost.objectives import StageTargets, pred_ratio, stage3_target
 from triboost.pipeline import (
     PROBE_CONFIG,
     PipelineConfig,
@@ -39,7 +39,7 @@ class TestPseudoLabels:
     def test_splices_actuals_and_predictions(self, panel):
         s1 = np.arange(panel.n, dtype=np.float64) + 1.0
         t = pseudo_label_targets(panel, s1)
-        assert t.kind is StageKind.STAGE2
+        assert isinstance(t, StageTargets)
         assert np.array_equal(t.values[: panel.m], panel.actuals)
         assert np.array_equal(t.values[panel.m :], s1[panel.m :])
 
@@ -77,8 +77,8 @@ class TestRunPipeline:
         out = fast_result.outputs
         for v in (out.stage1, out.stage2, out.stage3):
             assert v.shape == (panel.n,)
-        assert out.ratios.values.shape == (panel.n,)
-        assert out.stage3_targets.kind is StageKind.STAGE3
+        assert out.ratios.shape == (panel.n,)
+        assert isinstance(out.stage3_targets, StageTargets)
 
     def test_stage_fits_carry_models_and_curves(self, fast_result):
         for fit_ in (fast_result.stage1, fast_result.stage2, fast_result.stage3):
@@ -93,7 +93,7 @@ class TestRunPipeline:
     def test_ratios_and_targets_come_from_stage1(self, panel, fast_result):
         out = fast_result.outputs
         expect = pred_ratio(out.stage1, panel.layout)
-        assert np.array_equal(out.ratios.values, expect.values)
+        assert np.array_equal(out.ratios, expect)
         expect_t = stage3_target(expect, panel.layout)
         assert np.array_equal(out.stage3_targets.values, expect_t.values)
 
@@ -220,7 +220,7 @@ class TestOnScenario:
         s1 = result.outputs.stage1
         for k in (0.5, 1.3, 10.0):
             scaled = pred_ratio(s1 * k, ds.layout)
-            assert np.max(np.abs(scaled.values - result.outputs.ratios.values)) < 1e-12
+            assert np.max(np.abs(scaled - result.outputs.ratios)) < 1e-12
             t = stage3_target(scaled, ds.layout)
             base = result.outputs.stage3_targets.values
             assert np.max(np.abs(t.values - base) / np.maximum(1.0, np.abs(base))) < 1e-9

@@ -153,8 +153,8 @@ class TestConservation:
         for pid, week, value in zip(truth.product_ids, truth.weeks, truth.sales):
             w = int(week)
             by_week[w] = by_week.get(w, 0.0) + float(value)
-        for g in ds.groups:
-            assert by_week[g.week_index] == g.category_total  # bitwise
+        for week, total in zip(ds.layout.weeks.tolist(), ds.layout.totals.tolist()):
+            assert by_week[week] == total  # bitwise
 
     def test_noise_perturbs_split_not_total(self):
         quiet, t0 = generate(ScenarioConfig(noise_sd=0.0))
