@@ -34,7 +34,7 @@ print(f"\nmax |weekly sum - category total| over all 100 weeks: {gap:g}")
 
 # Watch the launch eat everyone's share.
 launch = 80
-pids = np.array([r.product_id for r in dataset.records])
+pids = np.array(dataset.product_ids)
 weeks = dataset.week_of_row
 for w in (launch - 1, launch, launch + 1):
     rows = np.nonzero(weeks == w)[0]
@@ -47,10 +47,9 @@ for w in (launch - 1, launch, launch + 1):
 # forward, inflated by the configured bias -- the planted flaw stage 1
 # will happily learn.
 f3 = dataset.features[:, 3]
-last_obs = {r.product_id: r.actual_sales for r in dataset.records[: dataset.m]
-            if r.week_index == launch - 1}
-row = next(i for i, r in enumerate(dataset.records)
-           if r.week_index == launch and r.product_id == "P0")
+last_obs = {pids[i]: dataset.actuals[i]
+            for i in np.nonzero(weeks[: dataset.m] == launch - 1)[0]}
+row = next(i for i in np.nonzero(weeks == launch)[0] if pids[i] == "P0")
 print(f"\nP0 sales at week {launch - 1}:      {last_obs['P0']:.3f}")
 print(f"P0 lag feature at week {launch}:  {f3[row]:.3f}"
       f"  (x{1 + config.stage1_bias_injection:.2f} bias injection)")

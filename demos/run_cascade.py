@@ -33,14 +33,13 @@ for name, preds in (
 # One week in detail: the launch week, where stage 1 has never seen the
 # entrant and its inflated lag features push every incumbent too high.
 w = 80
-rows = [i for i in range(dataset.m, dataset.n)
-        if dataset.records[i].week_index == w]
+rows = [i for i in range(dataset.m, dataset.n) if dataset.week_of_row[i] == w]
 total = float(dataset.layout.totals[list(dataset.layout.weeks).index(w)])
 print(f"\nweek {w} (category total {total:.1f}):")
 print(f"{'product':>8s}{'truth':>9s}{'stage1':>9s}{'stage2':>9s}{'stage3':>9s}")
 for i in rows:
     t = truth.sales[i - dataset.m]
-    print(f"{dataset.records[i].product_id:>8s}{t:9.1f}"
+    print(f"{dataset.product_ids[i]:>8s}{t:9.1f}"
           f"{result.outputs.stage1[i]:9.1f}"
           f"{result.outputs.stage2[i]:9.1f}"
           f"{result.outputs.stage3[i]:9.1f}")

@@ -27,7 +27,7 @@ from .errors import (
 from .gbdt import GbdtModel, load_model, save_model
 from .metrics import category_adherence, product_metrics
 from .objectives import pred_ratio, stage3_target
-from .panel import GroupLayout, _parse_float, _parse_int, load_panel_csv
+from .panel import GroupLayout, _parse_float, _parse_int, _read_csv, load_panel_csv
 from .pipeline import (
     PipelineConfig,
     StageOutputs,
@@ -131,9 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("constraint-data", exc, 4)
     except PersistenceError as exc:
         return _fail("persistence", exc, 5)
-    except ValidationError as exc:
-        return _fail("validation", exc, 3)
-    except TriboostError as exc:
+    except TriboostError as exc:  # ValidationError and its subclasses
         return _fail("validation", exc, 3)
 
 
@@ -185,27 +183,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
     result = run_pipeline(dataset, config, n_threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, stage_fit in (
-        ("stage1", result.stage1),
-        ("stage2", result.stage2),
-        ("stage3", result.stage3),
-    ):
-        save_model(stage_fit.model, out / MODEL_FILES[name])
-    cfg1, cfg2, cfg3 = config.resolved()
+    for name, fname in MODEL_FILES.items():
+        save_model(getattr(result, name).model, out / fname)
     _write_json(out / "manifest.json", {
         "command": "train",
         "data": list(args.data),
-        "config": {
-            "stage1": cfgmod.train_config_echo(cfg1),
-            "stage2": cfgmod.train_config_echo(cfg2),
-            "stage3": cfgmod.train_config_echo(cfg3),
-        },
+        "config": {s: cfgmod.train_config_echo(c) for s, c in zip(MODEL_FILES, config.resolved())},
         "models": dict(MODEL_FILES),
-        "loss_curves": {
-            "stage1": list(result.stage1.loss_curve),
-            "stage2": list(result.stage2.loss_curve),
-            "stage3": list(result.stage3.loss_curve),
-        },
+        "loss_curves": {s: list(getattr(result, s).loss_curve) for s in MODEL_FILES},
         "diagnostics": result.diagnostics.to_dict(),
     })
     return 0
@@ -239,15 +224,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         with out.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["product_id", "week", "stage1", "stage2", "stage3"])
-            for i, record in enumerate(dataset.records):
-                writer.writerow([
-                    record.product_id,
-                    str(record.week_index),
-                    repr(float(outputs.stage1[i])),
-                    repr(float(outputs.stage2[i])),
-                    repr(float(outputs.stage3[i])),
-                ])
+            writer.writerow(["product_id", "week", *MODEL_FILES])
+            writer.writerows(zip(
+                dataset.product_ids,
+                map(str, dataset.week_of_row.tolist()),
+                *(map(repr, getattr(outputs, s).tolist()) for s in MODEL_FILES),
+            ))
     except OSError as exc:
         raise PersistenceError(f"cannot write {out}: {exc}") from exc
     _write_json(Path(str(out) + ".manifest.json"), {
@@ -259,38 +241,25 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-STAGES = ("stage1", "stage2", "stage3")
-
-
 def _read_keyed_csv(
     path: str, columns: tuple[str, ...]
 ) -> dict[tuple[int, str], list[float]]:
     """Rows of an ``evaluate`` input keyed by (week, product), with the
     numeric ``columns`` parsed.  A malformed cell or a repeated key is a
     validation error naming the file and line."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            for name in ("product_id", "week", *columns):
-                if name not in header:
-                    raise ValidationError(f"{path}: missing required column '{name}'")
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    rows = _read_csv(path, ("product_id", "week", *columns))
+    col = {name: i for i, name in enumerate(next(rows))}
     keyed: dict[tuple[int, str], list[float]] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if None in row or None in row.values():
-            raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
-        key = (_parse_int(row["week"], path, lineno, "week"), row["product_id"])
+    for lineno, row in rows:
+        key = (_parse_int(row[col["week"]], path, lineno, "week"), row[col["product_id"]])
         if key in keyed:
             raise ValidationError(f"{path}:{lineno}: duplicate (week, product) row {key}")
-        keyed[key] = [_parse_float(row[c], path, lineno, c) for c in columns]
+        keyed[key] = [_parse_float(row[col[c]], path, lineno, c) for c in columns]
     return keyed
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    preds = _read_keyed_csv(args.pred, STAGES)
+    preds = _read_keyed_csv(args.pred, tuple(MODEL_FILES))
     truth = _read_keyed_csv(args.truth, ("true_sales",))
     if not truth:
         raise ValidationError("truth file has no rows")
@@ -304,7 +273,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     true_sales = np.array([truth[k][0] for k in keys])
     layout = GroupLayout.from_week_column([week for week, _ in keys], true_sales)
     report = {"rows": len(keys)}
-    for j, stage in enumerate(STAGES):
+    for j, stage in enumerate(MODEL_FILES):
         stage_preds = np.array([preds[k][j] for k in keys])
         report[stage] = {
             **product_metrics(stage_preds, true_sales),
@@ -322,14 +291,13 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     outputs = _predict_stages(dataset, _load_models(args.models))
     config = _pipeline_config(args)
     report = diagnose(dataset, outputs, config)
-    cfg1, _, _ = config.resolved()
     _write_json(Path(args.out), {
         **report.to_dict(),
         "manifest": {
             "command": "diagnose",
             "data": list(args.data),
             "models": args.models,
-            "config": cfgmod.train_config_echo(cfg1),
+            "config": cfgmod.train_config_echo(config.stage1),
         },
     })
     return 0

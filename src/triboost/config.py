@@ -18,6 +18,7 @@ share_decay_on_launch, noise_sd, stage1_bias_injection, seed.
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -74,9 +75,11 @@ def _as_float(mapping: dict[str, str], key: str) -> float:
         raise ValidationError(f"config key {key!r}: not a number: {mapping[key]!r}") from None
 
 
-_TRAIN_INT_KEYS = {"num_rounds", "max_depth"}
-_TRAIN_FLOAT_KEYS = {"learning_rate", "reg_lambda", "min_child_weight", "min_gain"}
-_TRAIN_KEYS = _TRAIN_INT_KEYS | _TRAIN_FLOAT_KEYS
+# Each training key's parser, from its TrainConfig field's annotation (a
+# string: the gbdt module postpones the evaluation of annotations).
+_TRAIN_PARSERS = {
+    f.name: _as_int if f.type == "int" else _as_float for f in fields(TrainConfig)
+}
 _STAGE_PREFIXES = ("stage1", "stage2", "stage3")
 
 
@@ -85,17 +88,10 @@ def pipeline_config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
     per_stage: dict[str, dict[str, object]] = {p: {} for p in _STAGE_PREFIXES}
     for key in mapping:
         stage, _, field = key.partition(".")
-        if field and stage in _STAGE_PREFIXES:
-            target, name = per_stage[stage], field
-        elif key in _TRAIN_KEYS:
-            target, name = base, key
-        else:
+        target, name = (per_stage[stage], field) if stage in per_stage else (base, key)
+        if name not in _TRAIN_PARSERS:
             raise ValidationError(f"unknown training config key {key!r}")
-        if name not in _TRAIN_KEYS:
-            raise ValidationError(f"unknown training config key {key!r}")
-        target[name] = (
-            _as_int(mapping, key) if name in _TRAIN_INT_KEYS else _as_float(mapping, key)
-        )
+        target[name] = _TRAIN_PARSERS[name](mapping, key)
 
     stage1 = TrainConfig(**{**base, **per_stage["stage1"]})
     stage2 = TrainConfig(**{**base, **per_stage["stage2"]}) if per_stage["stage2"] else None
@@ -177,11 +173,5 @@ def scenario_config_echo(config: ScenarioConfig) -> dict[str, object]:
 
 
 def train_config_echo(config: TrainConfig) -> dict[str, object]:
-    return {
-        "num_rounds": config.num_rounds,
-        "max_depth": config.max_depth,
-        "learning_rate": config.learning_rate,
-        "reg_lambda": config.reg_lambda,
-        "min_child_weight": config.min_child_weight,
-        "min_gain": config.min_gain,
-    }
+    """The training keys that reproduce this config (manifest echo)."""
+    return asdict(config)

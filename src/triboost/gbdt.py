@@ -336,7 +336,7 @@ def load_model(path: str | Path) -> GbdtModel:
         raise PersistenceError(f"cannot read model from {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise PersistenceError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise PersistenceError(f"{path}: expected a JSON object")

@@ -1,12 +1,14 @@
 """Panel data model: product-week rows, their week layout, and CSV I/O.
 
-A dataset is an ordered panel of product-week records.  Rows are sorted by
-``(week_index, product_id)``.  The first ``m`` rows are historical (they
+A dataset is an ordered panel of product-week rows held as columns: product
+ids, an (n, k) feature matrix, historical sales and the week layout.  Rows
+are sorted by ``(week_index, product_id)``.  The first ``m`` rows are historical (they
 carry actual sales); the remaining rows are future rows that instead carry a
 known weekly category total.  The rows of one week are a contiguous slice
 and the coupling unit of the sum-constrained objectives;
 :meth:`GroupLayout.from_week_column` is the one routine that finds those
-slices and their category totals.
+slices and their category totals.  :class:`PanelRecord` is the row form
+that :meth:`PanelDataset.from_records`, the validating constructor, takes.
 
 Datasets are immutable after construction and safe to share across threads.
 """
@@ -17,7 +19,7 @@ import csv
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,16 +42,6 @@ class PanelRecord:
     week_index: int
     features: np.ndarray
     actual_sales: float | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PanelRecord):
-            return NotImplemented
-        return (
-            self.product_id == other.product_id
-            and self.week_index == other.week_index
-            and self.actual_sales == other.actual_sales
-            and np.array_equal(self.features, other.features)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,16 +134,18 @@ class GroupLayout:
 
 @dataclass(frozen=True, eq=False)
 class PanelDataset:
-    """Immutable panel of records with its week layout and historical split.
+    """Immutable columnar panel with its week layout and historical split.
 
-    Rows ``0..m-1`` are historical, ``m..n-1`` are future.  Use
+    Row ``i`` is product ``product_ids[i]`` in week ``week_of_row[i]`` with
+    features ``features[i]``.  Rows ``0..m-1`` are historical and their
+    sales are ``actuals``; rows ``m..n-1`` are future.  Use
     :meth:`from_records` or :func:`load_panel_csv` to construct one; both
     enforce all invariants.
     """
 
-    records: tuple[PanelRecord, ...]
-    m: int
-    n: int
+    product_ids: tuple[str, ...]
+    features: np.ndarray
+    actuals: np.ndarray
     layout: GroupLayout
     feature_names: tuple[str, ...]
 
@@ -162,82 +156,83 @@ class PanelDataset:
         feature_names: Sequence[str],
         future_totals: Mapping[int, float] | None = None,
     ) -> "PanelDataset":
-        records = tuple(records)
+        """Store rows as columns; each check runs on a whole column and
+        names its first bad row."""
         if not records:
             raise ValidationError("dataset has no rows")
+        product_ids, weeks, rows, sales = zip(
+            *((r.product_id, r.week_index, r.features, r.actual_sales) for r in records)
+        )
         k = len(feature_names)
-        keys = []
-        for i, r in enumerate(records):
-            if r.week_index < 0:
-                raise ValidationError(f"row {i}: negative week index {r.week_index}")
-            if r.features.shape != (k,):
-                raise ValidationError(
-                    f"row {i}: expected {k} features, got {r.features.shape}"
-                )
-            if not np.all(np.isfinite(r.features)):
-                raise ValidationError(
-                    f"row {i} (product {r.product_id}, week {r.week_index}): "
-                    "non-finite feature value"
-                )
-            if r.actual_sales is not None:
-                if not np.isfinite(r.actual_sales) or r.actual_sales < 0:
-                    raise ValidationError(
-                        f"row {i}: actual sales must be finite and >= 0, "
-                        f"got {r.actual_sales}"
-                    )
-            keys.append((r.week_index, r.product_id))
+        try:
+            features = np.array(rows, dtype=np.float64)
+        except ValueError:  # rows of different shapes
+            features = np.empty(0)
+        if features.shape != (len(rows), k):
+            i = next(i for i, x in enumerate(rows) if x.shape != (k,))
+            raise ValidationError(f"row {i}: expected {k} features, got {rows[i].shape}")
+        week_col = np.asarray(weeks)
+        if (i := _first(week_col < 0)) is not None:
+            raise ValidationError(f"row {i}: negative week index {weeks[i]}")
+        if (i := _first(~np.isfinite(features).all(axis=1))) is not None:
+            raise ValidationError(
+                f"row {i} (product {product_ids[i]}, week {weeks[i]}): "
+                "non-finite feature value"
+            )
+
+        has_sales = np.array([s is not None for s in sales])
+        m = int(np.count_nonzero(has_sales))
+        if m < 1:
+            raise ValidationError("dataset needs at least one historical row")
+        if (i := _first(~has_sales[:m])) is not None:
+            raise OrderingError(
+                "historical rows (with sales) must form a contiguous prefix; "
+                f"row {i} (week {weeks[i]}) breaks it"
+            )
+        actuals = np.asarray(sales[:m], dtype=np.float64)
+        if (i := _first(~(np.isfinite(actuals) & (actuals >= 0)))) is not None:
+            raise ValidationError(
+                f"row {i}: actual sales must be finite and >= 0, got {sales[i]}"
+            )
+
+        keys = list(zip(weeks, product_ids))
         if keys != sorted(keys):
             raise OrderingError("records must be sorted by (week_index, product_id)")
         if len(set(keys)) != len(keys):
             raise ValidationError("duplicate (week, product) rows")
 
-        m = sum(1 for r in records if r.actual_sales is not None)
-        if m < 1:
-            raise ValidationError("dataset needs at least one historical row")
-        for i, r in enumerate(records):
-            if (r.actual_sales is not None) != (i < m):
-                raise OrderingError(
-                    "historical rows (with sales) must form a contiguous prefix; "
-                    f"row {i} (week {r.week_index}) breaks it"
-                )
-
-        layout = GroupLayout.from_week_column(
-            [week for week, _ in keys],
-            [r.actual_sales for r in records[:m]],
-            future_totals,
-        )
+        layout = GroupLayout.from_week_column(week_col, actuals, future_totals)
+        features.setflags(write=False)
+        actuals.setflags(write=False)
         return cls(
-            records=records,
-            m=m,
-            n=len(records),
+            product_ids=product_ids,
+            features=features,
+            actuals=actuals,
             layout=layout,
             feature_names=tuple(feature_names),
         )
+
+    @property
+    def m(self) -> int:
+        """Number of historical rows."""
+        return self.actuals.shape[0]
+
+    @property
+    def n(self) -> int:
+        """Number of rows."""
+        return self.features.shape[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PanelDataset):
             return NotImplemented
         return (
-            self.m == other.m
-            and self.n == other.n
+            self.product_ids == other.product_ids
             and self.feature_names == other.feature_names
+            and np.array_equal(self.week_of_row, other.week_of_row)
+            and np.array_equal(self.features, other.features)
+            and np.array_equal(self.actuals, other.actuals)
             and np.array_equal(self.layout.totals, other.layout.totals)
-            and all(a == b for a, b in zip(self.records, other.records))
         )
-
-    @cached_property
-    def features(self) -> np.ndarray:
-        """Row-major feature matrix of shape (n, num_features). Read-only."""
-        x = np.vstack([r.features for r in self.records]).astype(np.float64)
-        x.setflags(write=False)
-        return x
-
-    @cached_property
-    def actuals(self) -> np.ndarray:
-        """Actual sales of the historical rows, length m. Read-only."""
-        y = np.asarray([r.actual_sales for r in self.records[: self.m]], dtype=np.float64)
-        y.setflags(write=False)
-        return y
 
     @cached_property
     def week_of_row(self) -> np.ndarray:
@@ -245,6 +240,21 @@ class PanelDataset:
         w = np.repeat(self.layout.weeks, self.layout.counts)
         w.setflags(write=False)
         return w
+
+    @property
+    def records(self) -> tuple[PanelRecord, ...]:
+        """The rows as :class:`PanelRecord` objects, rebuilt on each access.
+        Nothing in this package reads it; it is kept for code outside the
+        package that walks rows, e.g. the benchmark's row-key check."""
+        sales = self.actuals.tolist() + [None] * (self.n - self.m)
+        weeks = self.week_of_row.tolist()
+        return tuple(map(PanelRecord, self.product_ids, weeks, self.features, sales))
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True in ``mask``, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 @dataclass(frozen=True)
@@ -332,24 +342,14 @@ def _read_panel_file(
 ) -> list[str]:
     """Parse one CSV into ``parsed`` (week, product, sales, total, features)
     tuples; returns the feature column names found."""
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError(f"{path}: empty file, header required")
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
+    required = (schema.product, schema.week, schema.sales, schema.category_total)
+    rows = _read_csv(path, required)
+    header = next(rows)
     col = {name: i for i, name in enumerate(header)}
-    for required in (schema.product, schema.week, schema.sales, schema.category_total):
-        if required not in col:
-            raise SchemaError(f"{path}: missing required column '{required}'")
     category_col = schema.category
     if category_col is None and "category" in col:
         category_col = "category"
-    reserved = {schema.product, schema.week, schema.sales, schema.category_total}
+    reserved = set(required)
     if category_col is not None:
         if category_col not in col:
             raise SchemaError(f"{path}: missing category column '{category_col}'")
@@ -362,11 +362,7 @@ def _read_panel_file(
             if name not in col:
                 raise SchemaError(f"{path}: missing feature column '{name}'")
 
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
+    for lineno, row in rows:
         product = row[col[schema.product]]
         week = _parse_int(row[col[schema.week]], path, lineno, schema.week)
         sales_text = row[col[schema.sales]].strip()
@@ -399,6 +395,9 @@ def save_panel_csv(
     if schema.features is not None and tuple(schema.features) != dataset.feature_names:
         raise ValidationError("schema feature names do not match the dataset")
     totals = dict(zip(dataset.layout.weeks.tolist(), dataset.layout.totals.tolist()))
+    weeks = dataset.week_of_row.tolist()
+    actuals = dataset.actuals.tolist()
+    features = dataset.features.tolist()
     indices = range(dataset.n) if rows is None else rows
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
@@ -408,13 +407,40 @@ def save_panel_csv(
             + list(dataset.feature_names)
         )
         for i in indices:
-            r = dataset.records[i]
-            sales = "" if r.actual_sales is None else repr(float(r.actual_sales))
-            total = "" if i < dataset.m else repr(totals[r.week_index])
+            sales = repr(actuals[i]) if i < dataset.m else ""
+            total = "" if i < dataset.m else repr(totals[weeks[i]])
             writer.writerow(
-                [r.product_id, str(r.week_index), sales, total]
-                + [repr(float(v)) for v in r.features]
+                [dataset.product_ids[i], str(weeks[i]), sales, total]
+                + [repr(v) for v in features[i]]
             )
+
+
+def _read_csv(path: str | Path, required: Iterable[str]) -> Iterator:
+    """Yield a UTF-8 CSV file's header, then each non-blank row as
+    ``(line number, fields)``, reading as the caller consumes them.  Any
+    read, decode, parse, header or field-count error is a
+    :class:`ValidationError` naming the file (and line)."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, header required")
+            for name in required:
+                if name not in header:
+                    raise SchemaError(f"{path}: missing required column '{name}'")
+            yield header
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                        f"got {len(row)}"
+                    )
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_int(text: str, path: Path, lineno: int, colname: str) -> int:

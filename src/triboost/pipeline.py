@@ -160,20 +160,18 @@ def stage3_features(features: np.ndarray, stage2_preds: np.ndarray) -> np.ndarra
     return np.column_stack([features, p])
 
 
+def _fit_stage(X: np.ndarray, objective, config: TrainConfig, fit_rows: int) -> StageFit:
+    """Fit ``objective`` on the first ``fit_rows`` rows of ``X``, recording
+    the loss curve, then predict every row of ``X``."""
+    losses: list[float] = []
+    model = fit(X[:fit_rows], objective, config, loss_history=losses)
+    return StageFit(preds=model.predict(X), model=model, loss_curve=tuple(losses))
+
+
 def run_stage1(dataset: PanelDataset, config: TrainConfig) -> StageFit:
     """Fit squared error on the m historical rows; predict all n rows."""
-    losses: list[float] = []
-    model = fit(
-        dataset.features[: dataset.m],
-        Stage1Objective(StageTargets(dataset.actuals)),
-        config,
-        loss_history=losses,
-    )
-    return StageFit(
-        preds=model.predict(dataset.features),
-        model=model,
-        loss_curve=tuple(losses),
-    )
+    objective = Stage1Objective(StageTargets(dataset.actuals))
+    return _fit_stage(dataset.features, objective, config, dataset.m)
 
 
 def run_stage2(
@@ -181,18 +179,8 @@ def run_stage2(
 ) -> StageFit:
     """Refit on all n rows with pseudo-labels and the weekly sum penalty."""
     targets = pseudo_label_targets(dataset, stage1_preds)
-    losses: list[float] = []
-    model = fit(
-        dataset.features,
-        Stage2Objective(dataset.layout, targets),
-        config,
-        loss_history=losses,
-    )
-    return StageFit(
-        preds=model.predict(dataset.features),
-        model=model,
-        loss_curve=tuple(losses),
-    )
+    objective = Stage2Objective(dataset.layout, targets)
+    return _fit_stage(dataset.features, objective, config, dataset.n)
 
 
 def run_stage3(
@@ -209,17 +197,8 @@ def run_stage3(
     ratios = pred_ratio(stage1_preds, dataset.layout)
     targets = stage3_target(ratios, dataset.layout)
     X3 = stage3_features(dataset.features, stage2_preds)
-    losses: list[float] = []
-    model = fit(
-        X3,
-        Stage3Objective(dataset.layout, targets),
-        config,
-        loss_history=losses,
-    )
-    stage_fit = StageFit(
-        preds=model.predict(X3), model=model, loss_curve=tuple(losses)
-    )
-    return stage_fit, ratios, targets
+    objective = Stage3Objective(dataset.layout, targets)
+    return _fit_stage(X3, objective, config, dataset.n), ratios, targets
 
 
 def _in_stage(name: str, call: Callable):
@@ -276,10 +255,8 @@ def trivial_solution_probe(
     """
     layout = dataset.layout
     week_col = dataset.week_of_row.astype(np.float64)[:, None]
-    losses: list[float] = []
-    model = fit(week_col, ConstraintOnlyObjective(layout), config, loss_history=losses)
-    preds = model.predict(week_col)
-    weekly = layout.weekly_sums(preds) / layout.counts
+    probe = _fit_stage(week_col, ConstraintOnlyObjective(layout), config, dataset.n)
+    weekly = layout.weekly_sums(probe.preds) / layout.counts
     targets = layout.totals / layout.counts
     gap = np.abs(weekly - targets)
     return ProbeResult(
@@ -287,7 +264,7 @@ def trivial_solution_probe(
         weekly_targets=targets,
         max_abs_gap=float(np.max(gap)),
         max_rel_gap=float(np.max(gap / np.abs(targets))),
-        loss_curve=tuple(losses),
+        loss_curve=probe.loss_curve,
     )
 
 

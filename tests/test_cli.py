@@ -428,6 +428,44 @@ class TestExitCodes:
         assert captured.err.startswith("persistence: cannot read model ")
         assert captured.err.count("\n") == 1
 
+    def test_oversized_csv_field_is_validation_in_train(self, tmp_path, capsys):
+        # Over the csv module's field size limit; was a _csv.Error traceback.
+        data = tmp_path / "big.csv"
+        data.write_text("product_id,week,sales,category_total,f_0\n"
+                        f'"{"x" * 200_000}",0,5.0,,1.0\n')
+        code, captured = run(
+            ["train", "--data", str(data), "--out", str(tmp_path / "m")], capsys)
+        assert code == 3
+        assert captured.err.startswith(f"validation: {data}:2: field larger than")
+        assert captured.err.count("\n") == 1
+
+    def test_oversized_csv_field_is_validation_in_evaluate(self, ws, tmp_path,
+                                                           capsys):
+        truth = tmp_path / "t.csv"
+        truth.write_text(f'product_id,week,true_sales\n"{"x" * 200_000}",8,1.0\n')
+        code, captured = run(
+            ["evaluate", "--pred", str(ws / "preds.csv"), "--truth", str(truth),
+             "--out", str(tmp_path / "e.json")], capsys)
+        assert code == 3
+        assert captured.err.startswith(f"validation: {truth}:2: field larger than")
+        assert captured.err.count("\n") == 1
+
+    def test_deeply_nested_model_is_persistence(self, ws, tmp_path, capsys):
+        # Was a RecursionError traceback with exit 1.
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("model_stage1.json", "model_stage2.json",
+                     "model_stage3.json"):
+            (models / name).write_text("[" * 200_000 + "]" * 200_000)
+        data = ws / "data"
+        code, captured = run([
+            "predict", "--data", str(data / "train.csv"), str(data / "test.csv"),
+            "--models", str(models), "--out", str(tmp_path / "p.csv"),
+        ], capsys)
+        assert code == 5
+        assert captured.err.startswith("persistence: ")
+        assert captured.err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "generate" in capsys.readouterr().out
@@ -482,3 +520,29 @@ def test_wide_week_outputs_are_golden(tmp_path):
     got = {name: hashlib.sha256((models / name).read_bytes()).hexdigest()
            for name in WIDE_GOLDEN_SHA256}
     assert got == WIDE_GOLDEN_SHA256
+
+
+# sha256 of the CSVs `generate` writes for the default and the wide scenario,
+# and of the default `train` manifest (config echo, loss curves and
+# diagnostics), recorded before the panel became columnar.  Run from the
+# output directory so the manifest's data paths are the same on every run.
+GENERATE_GOLDEN_SHA256 = {
+    "data/train.csv": "12c058db87172850a1dfaa5446050c0604e970fcc119e8b5973306ae45c1b549",
+    "data/test.csv": "cf8ab11e1b49cba6425c42b4a31c4b4c1763aaf2b50aa1fec715892ccaf34e32",
+    "data/truth.csv": "f8caa17f4da1123c1832f350e7ac2a0664c923425552b149fb3d286cac67bdf4",
+    "wide/train.csv": "7b6f42ac0242deaca1e35ad45a3eddf346f4a7ef2b3ff6c45fa14b13b97f3818",
+    "wide/test.csv": "9d0115776a0f8b80296824c9b3c67c98378243d9b9fcdcd32c033ce67e5d4b49",
+    "wide/truth.csv": "6ddcfdfd0478e7f7bea3f118eb42c63adb6f8f0ae4cd9a512c0a5809e1afab7e",
+    "models/manifest.json": "8ca1792b2026f489774cd5bfc6c5a0407cdf43d0a504a7736220504aaee20931",
+}
+
+
+def test_generated_csvs_and_train_manifest_are_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--out", "data"]) == 0
+    assert main(["generate", "--out", "wide", *WIDE_SCENARIO]) == 0
+    assert main(["train", "--data", "data/train.csv", "data/test.csv",
+                 "--out", "models", "--threads", "1"]) == 0
+    got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+           for name in GENERATE_GOLDEN_SHA256}
+    assert got == GENERATE_GOLDEN_SHA256

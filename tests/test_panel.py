@@ -70,10 +70,35 @@ class TestFromRecords:
         with pytest.raises(ValidationError, match=">= 0"):
             PanelDataset.from_records(records, ["f_0"])
 
+    @pytest.mark.parametrize("sales", [np.nan, -2.5])
+    def test_bad_sales_on_later_row_named(self, sales):
+        records = [rec("P0", 0, [0.0], 1.0), rec("P1", 0, [0.0], 2.0),
+                   rec("P0", 1, [0.0], sales)]
+        with pytest.raises(ValidationError) as info:
+            PanelDataset.from_records(records, ["f_0"])
+        assert str(info.value) == (
+            f"row 2: actual sales must be finite and >= 0, got {sales}"
+        )
+
+    def test_negative_week_rejected(self):
+        records = [rec("P0", -1, [0.0], 1.0), rec("P0", 0, [0.0], 1.0)]
+        with pytest.raises(ValidationError) as info:
+            PanelDataset.from_records(records, ["f_0"])
+        assert str(info.value) == "row 0: negative week index -1"
+
     def test_nan_feature_rejected(self):
         records = [rec("P0", 0, [np.nan], 1.0)]
         with pytest.raises(ValidationError, match="non-finite"):
             PanelDataset.from_records(records, ["f_0"])
+
+    def test_non_finite_feature_on_later_row_named(self):
+        records = [rec("P0", 0, [0.0, 1.0], 1.0), rec("P1", 0, [2.0, 3.0], 1.0),
+                   rec("P0", 1, [4.0, np.inf]), rec("P1", 1, [np.nan, 5.0])]
+        with pytest.raises(ValidationError) as info:
+            PanelDataset.from_records(records, ["f_0", "f_1"], {1: 3.0})
+        assert str(info.value) == (
+            "row 2 (product P0, week 1): non-finite feature value"
+        )
 
     def test_feature_width_mismatch_rejected(self):
         records = [rec("P0", 0, [0.0, 1.0], 1.0)]
@@ -94,6 +119,23 @@ class TestFromRecords:
         ds = make_panel({0: [1, 2]})
         with pytest.raises(ValueError):
             ds.features[0, 0] = 99.0
+
+    def test_round_trip_through_records(self):
+        ds = make_panel({0: [1.25, 2.5], 3: [0.1, 0.2, 0.3]}, {4: (2, 10.7)})
+        future = dict(zip(ds.layout.weeks.tolist(), ds.layout.totals.tolist()))
+        assert PanelDataset.from_records(ds.records, ds.feature_names, future) == ds
+
+    def test_equality_sees_one_product_or_week(self):
+        def panel(first_id, first_week):
+            return PanelDataset.from_records(
+                [rec(first_id, first_week, [0.5], 1.0), rec("P1", 2, [0.5], 2.0)],
+                ["f_0"],
+            )
+
+        base = panel("P0", 1)
+        assert panel("P0", 1) == base
+        assert panel("P2", 1) != base  # one product id differs
+        assert panel("P0", 0) != base  # one week differs
 
 
 class TestWeekGroups:

@@ -13,9 +13,14 @@ from triboost.scenario import (
 
 
 def row_index(dataset):
-    return {
-        (r.product_id, r.week_index): i for i, r in enumerate(dataset.records)
-    }
+    keys = zip(dataset.product_ids, dataset.week_of_row.tolist())
+    return {key: i for i, key in enumerate(keys)}
+
+
+def sales_in_week(dataset, week):
+    """{product: actual sales} of one historical week."""
+    rows = np.flatnonzero(dataset.week_of_row[: dataset.m] == week)
+    return {dataset.product_ids[i]: float(dataset.actuals[i]) for i in rows}
 
 
 SMALL = dict(
@@ -119,10 +124,9 @@ class TestShapes:
 
     def test_truth_aligns_with_future_rows(self):
         ds, truth = generate(ScenarioConfig())
-        future = ds.records[ds.m :]
-        assert [r.product_id for r in future] == list(truth.product_ids)
-        assert [r.week_index for r in future] == truth.weeks.tolist()
-        assert all(r.actual_sales is None for r in future)
+        assert ds.product_ids[ds.m :] == truth.product_ids
+        assert ds.week_of_row[ds.m :].tolist() == truth.weeks.tolist()
+        assert ds.actuals.shape == (ds.m,)  # future rows carry no sales
 
 
 class TestDeterminism:
@@ -148,8 +152,8 @@ class TestConservation:
     def test_totals_match_member_order_sums(self, noise_sd):
         ds, truth = generate(ScenarioConfig(noise_sd=noise_sd))
         by_week: dict[int, float] = {}
-        for r in ds.records[: ds.m]:
-            by_week[r.week_index] = by_week.get(r.week_index, 0.0) + r.actual_sales
+        for week, sales in zip(ds.week_of_row[: ds.m].tolist(), ds.actuals.tolist()):
+            by_week[week] = by_week.get(week, 0.0) + sales
         for pid, week, value in zip(truth.product_ids, truth.weeks, truth.sales):
             w = int(week)
             by_week[w] = by_week.get(w, 0.0) + float(value)
@@ -183,8 +187,7 @@ class TestLaunchCalibration:
         ds, truth = generate(ScenarioConfig(**SMALL))
         idx = {(p, int(w)): s for p, w, s in
                zip(truth.product_ids, truth.weeks, truth.sales)}
-        before = {r.product_id: r.actual_sales for r in ds.records
-                  if r.week_index == 9}
+        before = sales_in_week(ds, 9)
         total = dict(zip(ds.layout.weeks.tolist(), ds.layout.totals.tolist()))
         for p in ("P0", "P1", "P2"):
             assert idx[(p, 10)] / total[10] < before[p] / total[9]
@@ -200,11 +203,9 @@ class TestLaunchCalibration:
             seed=3,
         )
         ds, truth = generate(cfg)
-        week5 = {r.product_id: r.actual_sales for r in ds.records
-                 if r.week_index == 5}
+        week5 = sales_in_week(ds, 5)
         assert week5["P2"] / 100.0 == pytest.approx(0.25, abs=1e-12)
-        assert ("P2", 4) not in {(r.product_id, r.week_index)
-                                 for r in ds.records}
+        assert ("P2", 4) not in row_index(ds)
         idx = {(p, int(w)): s for p, w, s in
                zip(truth.product_ids, truth.weeks, truth.sales)}
         assert idx[("P3", 12)] / 100.0 == pytest.approx(0.25, abs=1e-12)
@@ -237,13 +238,13 @@ class TestFeatureSemantics:
     def test_historical_lag_is_previous_week_sales(self, small):
         ds, idx = small
         for w in range(1, 10):
-            prev = ds.records[idx[("P1", w - 1)]].actual_sales
+            prev = ds.actuals[idx[("P1", w - 1)]]
             assert ds.features[idx[("P1", w)], 3] == prev
         assert ds.features[idx[("P1", 0)], 3] == 0.0
 
     def test_future_lag_frozen_at_last_observation(self, small):
         ds, idx = small
-        last = ds.records[idx[("P1", 9)]].actual_sales
+        last = ds.actuals[idx[("P1", 9)]]
         # SMALL keeps the default 0.15 bias injection on future rows
         for w in range(10, 15):
             assert ds.features[idx[("P1", w)], 3] == last * 1.15
