@@ -41,7 +41,6 @@ from .objectives import (
     stage3_target,
 )
 from .panel import (
-    CsvSchema,
     GroupLayout,
     PanelDataset,
     PanelRecord,

@@ -18,6 +18,7 @@ share_decay_on_launch, noise_sd, stage1_bias_injection, seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterable
@@ -70,16 +71,23 @@ def _as_int(mapping: dict[str, str], key: str) -> int:
 
 def _as_float(mapping: dict[str, str], key: str) -> float:
     try:
-        return float(mapping[key])
+        value = float(mapping[key])
     except ValueError:
         raise ValidationError(f"config key {key!r}: not a number: {mapping[key]!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"config key {key!r}: not a finite number: {mapping[key]!r}")
+    return value
 
 
-# Each training key's parser, from its TrainConfig field's annotation (a
-# string: the gbdt module postpones the evaluation of annotations).
-_TRAIN_PARSERS = {
-    f.name: _as_int if f.type == "int" else _as_float for f in fields(TrainConfig)
+# A config value's parser, by the annotation of the field it sets (a
+# string: the gbdt and scenario modules postpone evaluating annotations).
+_PARSERS = {
+    "int": _as_int,
+    "float": _as_float,
+    "str": lambda mapping, key: mapping[key],
+    "Mapping[str, int]": lambda mapping, key: _parse_schedule(mapping[key]),
 }
+_TRAIN_PARSERS = {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
 _STAGE_PREFIXES = ("stage1", "stage2", "stage3")
 
 
@@ -99,15 +107,11 @@ def pipeline_config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
     return PipelineConfig(stage1=stage1, stage2=stage2, stage3=stage3)
 
 
-_SCENARIO_INT_KEYS = {"num_products", "num_weeks_hist", "num_weeks_future", "seed"}
-_SCENARIO_FLOAT_KEYS = {
-    "share_decay_on_launch",
-    "noise_sd",
-    "stage1_bias_injection",
-    "curve_base",
-    "curve_slope",
-    "curve_amplitude",
-    "curve_period",
+# Each scenario key's field: ScenarioConfig's fields and, under a
+# ``curve_`` prefix, CategoryCurve's (``curve`` itself is the curve's kind).
+_SCENARIO_FIELDS = {f.name: f for f in fields(ScenarioConfig) if f.name != "curve"}
+_CURVE_FIELDS = {
+    "curve" if f.name == "kind" else f"curve_{f.name}": f for f in fields(CategoryCurve)
 }
 
 
@@ -115,18 +119,13 @@ def scenario_config_from_mapping(mapping: dict[str, str]) -> ScenarioConfig:
     kwargs: dict[str, object] = {}
     curve_kwargs: dict[str, object] = {}
     for key in mapping:
-        if key in _SCENARIO_INT_KEYS:
-            kwargs[key] = _as_int(mapping, key)
-        elif key == "curve":
-            curve_kwargs["kind"] = mapping[key]
-        elif key.startswith("curve_") and key in _SCENARIO_FLOAT_KEYS:
-            curve_kwargs[key.removeprefix("curve_")] = _as_float(mapping, key)
-        elif key in _SCENARIO_FLOAT_KEYS:
-            kwargs[key] = _as_float(mapping, key)
-        elif key == "launch_schedule":
-            kwargs[key] = _parse_schedule(mapping[key])
+        if key in _SCENARIO_FIELDS:
+            target, f = kwargs, _SCENARIO_FIELDS[key]
+        elif key in _CURVE_FIELDS:
+            target, f = curve_kwargs, _CURVE_FIELDS[key]
         else:
             raise ValidationError(f"unknown scenario config key {key!r}")
+        target[f.name] = _PARSERS[f.type](mapping, key)
     if curve_kwargs:
         kwargs["curve"] = CategoryCurve(**curve_kwargs)
     return ScenarioConfig(**kwargs)
@@ -153,23 +152,12 @@ def _parse_schedule(text: str) -> dict[str, int]:
 
 def scenario_config_echo(config: ScenarioConfig) -> dict[str, object]:
     """The flat mapping that reproduces this config (manifest echo)."""
-    return {
-        "num_products": config.num_products,
-        "num_weeks_hist": config.num_weeks_hist,
-        "num_weeks_future": config.num_weeks_future,
-        "launch_schedule": ",".join(
-            f"{pid}:{week}" for pid, week in sorted(config.launch_schedule.items())
-        ),
-        "curve": config.curve.kind,
-        "curve_base": config.curve.base,
-        "curve_slope": config.curve.slope,
-        "curve_amplitude": config.curve.amplitude,
-        "curve_period": config.curve.period,
-        "share_decay_on_launch": config.share_decay_on_launch,
-        "noise_sd": config.noise_sd,
-        "stage1_bias_injection": config.stage1_bias_injection,
-        "seed": config.seed,
-    }
+    echo = {key: getattr(config, key) for key in _SCENARIO_FIELDS}
+    echo["launch_schedule"] = ",".join(
+        f"{pid}:{week}" for pid, week in sorted(config.launch_schedule.items())
+    )
+    echo.update((key, getattr(config.curve, f.name)) for key, f in _CURVE_FIELDS.items())
+    return echo
 
 
 def train_config_echo(config: TrainConfig) -> dict[str, object]:

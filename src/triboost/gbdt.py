@@ -122,14 +122,10 @@ class TrainConfig:
             raise ValidationError(
                 f"learning_rate must be in (0, 1], got {self.learning_rate}"
             )
-        if self.reg_lambda < 0.0:
-            raise ValidationError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if self.min_child_weight < 0.0:
-            raise ValidationError(
-                f"min_child_weight must be >= 0, got {self.min_child_weight}"
-            )
-        if self.min_gain < 0.0:
-            raise ValidationError(f"min_gain must be >= 0, got {self.min_gain}")
+        for name in ("reg_lambda", "min_child_weight", "min_gain"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

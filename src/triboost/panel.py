@@ -7,8 +7,12 @@ carry actual sales); the remaining rows are future rows that instead carry a
 known weekly category total.  The rows of one week are a contiguous slice
 and the coupling unit of the sum-constrained objectives;
 :meth:`GroupLayout.from_week_column` is the one routine that finds those
-slices and their category totals.  :class:`PanelRecord` is the row form
-that :meth:`PanelDataset.from_records`, the validating constructor, takes.
+slices and their category totals.
+
+:meth:`PanelDataset.from_columns` is the one constructor that validates a
+panel; :func:`load_panel_csv` and the scenario generator build their
+columns and call it.  :class:`PanelRecord` is the row form, which
+:meth:`PanelDataset.from_records` unzips into columns.
 
 Datasets are immutable after construction and safe to share across threads.
 """
@@ -16,6 +20,7 @@ Datasets are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -138,9 +143,10 @@ class PanelDataset:
 
     Row ``i`` is product ``product_ids[i]`` in week ``week_of_row[i]`` with
     features ``features[i]``.  Rows ``0..m-1`` are historical and their
-    sales are ``actuals``; rows ``m..n-1`` are future.  Use
-    :meth:`from_records` or :func:`load_panel_csv` to construct one; both
-    enforce all invariants.
+    sales are ``actuals``; rows ``m..n-1`` are future.  Construct one
+    with :meth:`from_columns`, :meth:`from_records` or
+    :func:`load_panel_csv`; all of them enforce every invariant through
+    :meth:`from_columns`.
     """
 
     product_ids: tuple[str, ...]
@@ -150,29 +156,36 @@ class PanelDataset:
     feature_names: tuple[str, ...]
 
     @classmethod
-    def from_records(
+    def from_columns(
         cls,
-        records: Sequence[PanelRecord],
+        product_ids: Sequence[str],
+        week_of_row: Sequence[int] | np.ndarray,
+        features: np.ndarray,
+        sales: Sequence[float | None],
         feature_names: Sequence[str],
         future_totals: Mapping[int, float] | None = None,
     ) -> "PanelDataset":
-        """Store rows as columns; each check runs on a whole column and
-        names its first bad row."""
-        if not records:
+        """Build a dataset from row-aligned columns, the one constructor
+        that validates a panel.
+
+        ``features`` is an (n, k) matrix with ``k = len(feature_names)``;
+        ``sales`` holds each historical row's sales and None on future rows;
+        ``future_totals`` maps each future week to its category total.  Each
+        check runs on a whole column and names its first bad row.
+        """
+        n = len(product_ids)
+        if n == 0:
             raise ValidationError("dataset has no rows")
-        product_ids, weeks, rows, sales = zip(
-            *((r.product_id, r.week_index, r.features, r.actual_sales) for r in records)
-        )
+        features = np.array(features, dtype=np.float64)
         k = len(feature_names)
-        try:
-            features = np.array(rows, dtype=np.float64)
-        except ValueError:  # rows of different shapes
-            features = np.empty(0)
-        if features.shape != (len(rows), k):
-            i = next(i for i, x in enumerate(rows) if x.shape != (k,))
-            raise ValidationError(f"row {i}: expected {k} features, got {rows[i].shape}")
-        week_col = np.asarray(weeks)
-        if (i := _first(week_col < 0)) is not None:
+        if features.shape != (n, k) or len(week_of_row) != n or len(sales) != n:
+            raise ValidationError(
+                f"columns disagree: {n} product ids, {len(week_of_row)} weeks, "
+                f"{len(sales)} sales and a {features.shape} feature matrix "
+                f"for {k} features"
+            )
+        weeks = np.asarray(week_of_row)
+        if (i := _first(weeks < 0)) is not None:
             raise ValidationError(f"row {i}: negative week index {weeks[i]}")
         if (i := _first(~np.isfinite(features).all(axis=1))) is not None:
             raise ValidationError(
@@ -195,21 +208,48 @@ class PanelDataset:
                 f"row {i}: actual sales must be finite and >= 0, got {sales[i]}"
             )
 
-        keys = list(zip(weeks, product_ids))
+        keys = list(zip(weeks.tolist(), product_ids))
         if keys != sorted(keys):
             raise OrderingError("records must be sorted by (week_index, product_id)")
         if len(set(keys)) != len(keys):
             raise ValidationError("duplicate (week, product) rows")
 
-        layout = GroupLayout.from_week_column(week_col, actuals, future_totals)
+        layout = GroupLayout.from_week_column(weeks, actuals, future_totals)
         features.setflags(write=False)
         actuals.setflags(write=False)
         return cls(
-            product_ids=product_ids,
+            product_ids=tuple(product_ids),
             features=features,
             actuals=actuals,
             layout=layout,
             feature_names=tuple(feature_names),
+        )
+
+    @classmethod
+    def from_records(
+        cls,
+        records: Sequence[PanelRecord],
+        feature_names: Sequence[str],
+        future_totals: Mapping[int, float] | None = None,
+    ) -> "PanelDataset":
+        """Build a dataset from :class:`PanelRecord` rows: unzip them into
+        columns and hand those to :meth:`from_columns`."""
+        rows = [r.features for r in records]
+        k = len(feature_names)
+        try:
+            features = np.array(rows, dtype=np.float64)
+        except ValueError:  # rows of different shapes
+            features = np.empty(0)
+        if rows and features.shape != (len(rows), k):
+            i = next(i for i, x in enumerate(rows) if x.shape != (k,))
+            raise ValidationError(f"row {i}: expected {k} features, got {rows[i].shape}")
+        return cls.from_columns(
+            [r.product_id for r in records],
+            [r.week_index for r in records],
+            features,
+            [r.actual_sales for r in records],
+            feature_names,
+            future_totals,
         )
 
     @property
@@ -257,47 +297,33 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column-name mapping for panel CSV files.
-
-    ``features`` of None means: every unmapped column, in file order.  A
-    column named ``category`` (or the one named here) is checked for
-    single-category consistency and excluded from features.
-    """
-
-    product: str = "product_id"
-    week: str = "week"
-    sales: str = "sales"
-    category_total: str = "category_total"
-    features: tuple[str, ...] | None = None
-    category: str | None = None
+# The fixed columns of a panel CSV; every other column is a feature, except
+# an optional ``category`` column, which must hold one value throughout.
+PANEL_COLUMNS = ("product_id", "week", "sales", "category_total")
 
 
-def load_panel_csv(
-    paths: str | Path | Sequence[str | Path], schema: CsvSchema | None = None
-) -> PanelDataset:
+def load_panel_csv(paths: str | Path | Sequence[str | Path]) -> PanelDataset:
     """Load one or more panel CSVs into a single validated :class:`PanelDataset`.
 
     Multiple files (e.g. a historical file and a future file) are
-    concatenated before sorting.  Each file must have a header naming the
-    product, week, sales, and category-total columns per ``schema``.  Sales
-    are blank on future rows; category totals are required on future rows
-    and ignored on historical ones.  Rows are sorted, the historical prefix
-    is inferred from sales presence, and all dataset invariants are
-    enforced.
+    concatenated, parsed straight into columns, and sorted once, stably, by
+    ``(week, product_id)``.  Each file must have a header naming the
+    :data:`PANEL_COLUMNS`.  Sales are blank on future rows; category totals
+    are required on future rows and ignored on historical ones.  The
+    historical prefix is inferred from sales presence, and all dataset
+    invariants are enforced by :meth:`PanelDataset.from_columns`.
     """
-    schema = schema or CsvSchema()
     if isinstance(paths, (str, Path)):
         paths = [paths]
     if not paths:
         raise ValidationError("no input files given")
 
     feature_names: list[str] | None = None
-    parsed: list[tuple[int, str, float | None, float | None, np.ndarray]] = []
+    columns: tuple[list, ...] = ([], [], [], [])  # product, week, sales, total
+    features = array("d")  # row-major feature cells
     categories: set[str] = set()
     for path in paths:
-        names = _read_panel_file(Path(path), schema, parsed, categories)
+        names = _read_panel_file(Path(path), columns, features, categories)
         if feature_names is None:
             feature_names = names
         elif names != feature_names:
@@ -310,15 +336,15 @@ def load_panel_csv(
             f"multiple categories {sorted(categories)}; one category per dataset"
         )
 
-    parsed.sort(key=lambda item: (item[0], item[1]))
-    records = [
-        PanelRecord(product_id=p, week_index=w, features=f, actual_sales=s)
-        for w, p, s, _, f in parsed
-    ]
+    products, weeks, sales, totals = columns
+    order = sorted(range(len(weeks)), key=list(zip(weeks, products)).__getitem__)
+    products, weeks, sales, totals = (
+        [col[i] for i in order] for col in columns
+    )
 
     future_totals: dict[int, float] = {}
-    for (week, product, sales, total, _) in parsed:
-        if sales is not None:
+    for week, product, row_sales, total in zip(weeks, products, sales, totals):
+        if row_sales is not None:
             continue
         if total is None:
             raise ConstraintDataError(
@@ -331,69 +357,53 @@ def load_panel_csv(
             )
         future_totals.setdefault(week, total)
 
-    return PanelDataset.from_records(records, feature_names, future_totals)
+    matrix = np.frombuffer(features).reshape(len(order), len(feature_names))
+    return PanelDataset.from_columns(
+        products, weeks, matrix[order], sales, feature_names, future_totals
+    )
 
 
 def _read_panel_file(
-    path: Path,
-    schema: CsvSchema,
-    parsed: list,
-    categories: set[str],
+    path: Path, columns: tuple[list, ...], features: array, categories: set[str]
 ) -> list[str]:
-    """Parse one CSV into ``parsed`` (week, product, sales, total, features)
-    tuples; returns the feature column names found."""
-    required = (schema.product, schema.week, schema.sales, schema.category_total)
-    rows = _read_csv(path, required)
+    """Append one CSV's cells to the product, week, sales and total
+    ``columns`` and its feature cells, row by row, to ``features``; returns
+    the feature column names found."""
+    rows = _read_csv(path, PANEL_COLUMNS)
     header = next(rows)
     col = {name: i for i, name in enumerate(header)}
-    category_col = schema.category
-    if category_col is None and "category" in col:
-        category_col = "category"
-    reserved = set(required)
-    if category_col is not None:
-        if category_col not in col:
-            raise SchemaError(f"{path}: missing category column '{category_col}'")
-        reserved.add(category_col)
-    if schema.features is None:
-        feature_names = [name for name in header if name not in reserved]
-    else:
-        feature_names = list(schema.features)
-        for name in feature_names:
-            if name not in col:
-                raise SchemaError(f"{path}: missing feature column '{name}'")
-
+    category = col.get("category")
+    feature_names = [
+        name for name in header if name not in PANEL_COLUMNS and name != "category"
+    ]
+    feature_cols = [col[name] for name in feature_names]
+    product_i, week_i, sales_i, total_i = (col[name] for name in PANEL_COLUMNS)
+    products, weeks, sales, totals = columns
     for lineno, row in rows:
-        product = row[col[schema.product]]
-        week = _parse_int(row[col[schema.week]], path, lineno, schema.week)
-        sales_text = row[col[schema.sales]].strip()
-        sales = None if sales_text == "" else _parse_float(sales_text, path, lineno, schema.sales)
-        total_text = row[col[schema.category_total]].strip()
-        total = None if total_text == "" else _parse_float(total_text, path, lineno, schema.category_total)
-        feats = np.asarray(
-            [_parse_float(row[col[name]], path, lineno, name) for name in feature_names],
-            dtype=np.float64,
+        products.append(row[product_i])
+        weeks.append(_parse_int(row[week_i], path, lineno, "week"))
+        sales.append(_parse_blank_or_float(row[sales_i], path, lineno, "sales"))
+        totals.append(
+            _parse_blank_or_float(row[total_i], path, lineno, "category_total")
         )
-        if category_col is not None:
-            categories.add(row[col[category_col]])
-        parsed.append((week, product, sales, total, feats))
-
+        for name, i in zip(feature_names, feature_cols):
+            features.append(_parse_float(row[i], path, lineno, name))
+        if category is not None:
+            categories.add(row[category])
     return feature_names
 
 
 def save_panel_csv(
     dataset: PanelDataset,
     path: str | Path,
-    schema: CsvSchema | None = None,
     rows: Iterable[int] | None = None,
 ) -> None:
-    """Write a dataset (or a row subset) to CSV in the canonical column order.
+    """Write a dataset (or a row subset) to CSV: the :data:`PANEL_COLUMNS`,
+    then the features.
 
     Floats are written with ``repr`` so a reload reproduces the dataset
     field-for-field.
     """
-    schema = schema or CsvSchema()
-    if schema.features is not None and tuple(schema.features) != dataset.feature_names:
-        raise ValidationError("schema feature names do not match the dataset")
     totals = dict(zip(dataset.layout.weeks.tolist(), dataset.layout.totals.tolist()))
     weeks = dataset.week_of_row.tolist()
     actuals = dataset.actuals.tolist()
@@ -402,10 +412,7 @@ def save_panel_csv(
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [schema.product, schema.week, schema.sales, schema.category_total]
-            + list(dataset.feature_names)
-        )
+        writer.writerow([*PANEL_COLUMNS, *dataset.feature_names])
         for i in indices:
             sales = repr(actuals[i]) if i < dataset.m else ""
             total = "" if i < dataset.m else repr(totals[weeks[i]])
@@ -444,19 +451,31 @@ def _read_csv(path: str | Path, required: Iterable[str]) -> Iterator:
 
 
 def _parse_int(text: str, path: Path, lineno: int, colname: str) -> int:
+    """An int64 cell; anything else is a :class:`ValidationError` naming
+    the file and line."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValidationError(
             f"{path}:{lineno}: column '{colname}': not an integer: {text!r}"
         ) from None
+    if not -(2**63) <= value < 2**63:
+        raise ValidationError(
+            f"{path}:{lineno}: column '{colname}': integer out of range: {text!r}"
+        )
+    return value
 
 
 def _parse_float(text: str, path: Path, lineno: int, colname: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValidationError(
             f"{path}:{lineno}: column '{colname}': not a number: {text!r}"
         ) from None
-    return value
+
+
+def _parse_blank_or_float(text: str, path: Path, lineno: int, colname: str) -> float | None:
+    """None for a blank cell, else the cell parsed by :func:`_parse_float`."""
+    text = text.strip()
+    return None if text == "" else _parse_float(text, path, lineno, colname)

@@ -14,6 +14,10 @@ only (a covariate shift), which makes a model trained on history
 systematically over- or under-forecast the future — the failure mode the
 downstream diagnostics are built to expose.
 
+Features, sales and ground truth are arrays over the (week, product) grid,
+masked to launched products; :meth:`PanelDataset.from_columns` builds the
+dataset from them.
+
 Feature columns (named ``f_0..f_4`` in files):
   f_0  product age in weeks (0 at launch)
   f_1  weeks since the most recent launch event in the category
@@ -33,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ScenarioConfigError
-from .panel import CsvSchema, PanelDataset, PanelRecord, save_panel_csv
+from .panel import PanelDataset, save_panel_csv
 
 _FEATURE_NAMES = ("f_0", "f_1", "f_2", "f_3", "f_4")
 _ATTRACT_PROXY_SD = 0.05
@@ -104,8 +108,10 @@ class ScenarioConfig:
             raise ScenarioConfigError(
                 f"share_decay_on_launch must be in (0, 1), got {self.share_decay_on_launch}"
             )
-        if self.noise_sd < 0:
-            raise ScenarioConfigError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not 0 <= self.noise_sd < math.inf:
+            raise ScenarioConfigError(
+                f"noise_sd must be finite and >= 0, got {self.noise_sd}"
+            )
         if self.stage1_bias_injection <= -1.0:
             raise ScenarioConfigError(
                 "stage1_bias_injection must be > -1 (it scales a feature by 1+bias)"
@@ -172,16 +178,13 @@ def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
 
     denom = float(T - 1) if T > 1 else 1.0
 
-    def alpha_at(i: int, w: int) -> float:
-        return float(base_alpha[i] + drift[i] * (w / denom))
-
     # Calibrate each entrant so its launch-week softmax share is exactly the
     # configured decay: incumbents keep (1-d) of their pre-launch shares.
     d = config.share_decay_on_launch
     for pid, L in sorted(config.launch_schedule.items(), key=lambda kv: kv[1]):
         i = pids.index(pid)
         incumbents = [j for j in range(P) if launch_week[j] < L and j != i]
-        mass = sum(math.exp(alpha_at(j, L)) for j in incumbents)
+        mass = sum(math.exp(base_alpha[j] + drift[j] * (L / denom)) for j in incumbents)
         target = math.log(d / (1.0 - d) * mass)
         base_alpha[i] = target - drift[i] * (L / denom)
 
@@ -207,63 +210,54 @@ def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
         sales[w, active] = week_sales
         recorded_totals[w] = float(np.cumsum(sales[w, active])[-1])
 
-    events = sorted({0} | set(config.launch_schedule.values()))
+    # One row per launched product and week, in (week, product) order,
+    # which is the dataset's (week, product_id) order: ids are zero-padded.
+    week_axis = np.arange(T)
+    row_week, row_product = np.nonzero(launch_week <= week_axis[:, None])
+    m = int(np.count_nonzero(row_week < hist))
 
-    def weeks_since_launch(w: int) -> float:
-        return float(w - max(e for e in events if e <= w))
+    # Weeks since the latest launch event (week 0 is one) and until the next
+    # (the panel length when none follows).
+    events = np.array(sorted({0} | set(config.launch_schedule.values())))
+    next_event = np.searchsorted(events, week_axis, side="right")
+    since_launch = week_axis - events[next_event - 1]
+    to_launch = np.where(
+        next_event < events.size,
+        events[np.minimum(next_event, events.size - 1)] - week_axis,
+        T,
+    )
 
-    def weeks_to_launch(w: int) -> float:
-        upcoming = [e for e in events if e > w]
-        return float(min(upcoming) - w) if upcoming else float(T)
+    # Own sales of the previous week, frozen at the last observed week on
+    # future rows; zero in a product's launch week, week 0 included.
+    lag = sales[np.clip(week_axis - 1, 0, hist - 1)]
+    lag[launch_week == week_axis[:, None]] = 0.0
+    lag[hist:] *= 1.0 + config.stage1_bias_injection
 
-    bias = config.stage1_bias_injection
-    records = []
-    truth_ids: list[str] = []
-    truth_weeks: list[int] = []
-    truth_sales: list[float] = []
-    future_totals: dict[int, float] = {}
-    for w in range(T):
-        for i in range(P):
-            if launch_week[i] > w:
-                continue
-            if w == 0 or launch_week[i] > w - 1:
-                lag = 0.0
-            elif w - 1 < hist:
-                lag = sales[w - 1, i]
-            else:
-                lag = sales[hist - 1, i]  # last observed value, carried forward
-            is_future = w >= hist
-            if is_future:
-                lag = lag * (1.0 + bias)
-            feats = np.array(
-                [
-                    float(w - launch_week[i]),
-                    weeks_since_launch(w),
-                    weeks_to_launch(w),
-                    float(lag),
-                    float(base_alpha[i] + drift[i] * (w / denom) + proxy_noise[w, i]),
-                ]
-            )
-            records.append(
-                PanelRecord(
-                    product_id=pids[i],
-                    week_index=w,
-                    features=feats,
-                    actual_sales=None if is_future else float(sales[w, i]),
-                )
-            )
-            if is_future:
-                truth_ids.append(pids[i])
-                truth_weeks.append(w)
-                truth_sales.append(float(sales[w, i]))
-        if w >= hist:
-            future_totals[w] = float(recorded_totals[w])
+    age = week_axis[:, None] - launch_week
+    proxy = base_alpha + drift * (week_axis / denom)[:, None] + proxy_noise
+    features = np.column_stack([
+        age[row_week, row_product],
+        since_launch[row_week],
+        to_launch[row_week],
+        lag[row_week, row_product],
+        proxy[row_week, row_product],
+    ])
+    row_sales = sales[row_week, row_product]
+    row_ids = [pids[i] for i in row_product.tolist()]
+    future_totals = {w: float(recorded_totals[w]) for w in range(hist, T)}
 
-    dataset = PanelDataset.from_records(records, _FEATURE_NAMES, future_totals)
+    dataset = PanelDataset.from_columns(
+        row_ids,
+        row_week,
+        features,
+        row_sales[:m].tolist() + [None] * (row_week.size - m),
+        _FEATURE_NAMES,
+        future_totals,
+    )
     truth = GroundTruth(
-        product_ids=tuple(truth_ids),
-        weeks=np.asarray(truth_weeks, dtype=np.intp),
-        sales=np.asarray(truth_sales, dtype=np.float64),
+        product_ids=tuple(row_ids[m:]),
+        weeks=row_week[m:],
+        sales=row_sales[m:],
     )
     return dataset, truth
 

@@ -249,8 +249,10 @@ class TestEvaluate:
          "t.csv:3: duplicate"),
         ("pred", "product_id,week,stage1,stage2,stage3\nA,5,1.0\n",
          "p.csv:2: expected 5 fields"),
+        ("truth", "product_id,week,true_sales\nA,99999999999999999999999,1.0\n",
+         "t.csv:2: column 'week': integer out of range"),
     ], ids=["pred-week", "pred-cell", "truth-week", "pred-dup", "truth-dup",
-            "pred-short"])
+            "pred-short", "truth-huge-week"])
     def test_malformed_rows_are_validation(self, which, text, where, tmp_path,
                                            capsys):
         paths = {"pred": tmp_path / "p.csv", "truth": tmp_path / "t.csv"}
@@ -466,6 +468,59 @@ class TestExitCodes:
         assert captured.err.startswith("persistence: ")
         assert captured.err.count("\n") == 1
 
+    def test_oversized_week_is_validation(self, ws, tmp_path, capsys):
+        # A week beyond int64 was an OverflowError traceback with exit 1.
+        data = ws / "data"
+        header, first, *rest = (data / "test.csv").read_text().splitlines(True)
+        product, _, cells = first.split(",", 2)
+        test = tmp_path / "test.csv"
+        test.write_text("".join(
+            [header, f"{product},99999999999999999999999,{cells}", *rest]))
+        code, captured = run([
+            "predict", "--data", str(data / "train.csv"), str(test),
+            "--models", str(ws / "models"), "--out", str(tmp_path / "p.csv"),
+        ], capsys)
+        assert code == 3
+        assert captured.err.startswith(
+            f"validation: {test}:2: column 'week': integer out of range")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("setting", [
+        "reg_lambda=inf", "reg_lambda=nan", "min_gain=nan", "min_gain=inf",
+        "min_child_weight=inf", "stage3.learning_rate=nan",
+    ])
+    def test_non_finite_training_value_is_validation(self, ws, tmp_path,
+                                                     capsys, setting):
+        # Each used to train all-stump models with exit 0, or to fail later
+        # as a non-finite gradient.
+        data = ws / "data"
+        key = setting.split("=")[0]
+        code, captured = run([
+            "train", "--data", str(data / "train.csv"), str(data / "test.csv"),
+            "--out", str(tmp_path / "m"), "--set", setting, *TRN,
+        ], capsys)
+        assert code == 3
+        assert captured.err.startswith(f"validation: config key '{key}': not a finite")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("setting", [
+        "noise_sd=nan", "noise_sd=inf", "curve_base=inf",
+        "stage1_bias_injection=nan",
+    ])
+    def test_non_finite_scenario_value_is_validation(self, tmp_path, capsys,
+                                                     setting):
+        # noise_sd=nan used to switch the noise off silently and write NaN
+        # into manifest.json.
+        out = tmp_path / "g"
+        code, captured = run(["generate", "--out", str(out), "--set", setting],
+                             capsys)
+        assert code == 3
+        key = setting.split("=")[0]
+        assert captured.err.startswith(f"validation: config key '{key}': not a finite")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "generate" in capsys.readouterr().out
@@ -526,6 +581,12 @@ def test_wide_week_outputs_are_golden(tmp_path):
 # and of the default `train` manifest (config echo, loss curves and
 # diagnostics), recorded before the panel became columnar.  Run from the
 # output directory so the manifest's data paths are the same on every run.
+# The multi-launch scenario has a historical launch, a launch in the first
+# future week and one mid-horizon, so `f_1`/`f_2` see several launch events
+# and one product's lag starts inside the forecast window; its files and
+# both `generate` manifests were recorded before `generate` became columnar.
+MULTI_LAUNCH_SCENARIO = ["--set", "num_products=6",
+                         "--set", "launch_schedule=P3:40,P4:80,P5:90"]
 GENERATE_GOLDEN_SHA256 = {
     "data/train.csv": "12c058db87172850a1dfaa5446050c0604e970fcc119e8b5973306ae45c1b549",
     "data/test.csv": "cf8ab11e1b49cba6425c42b4a31c4b4c1763aaf2b50aa1fec715892ccaf34e32",
@@ -534,6 +595,11 @@ GENERATE_GOLDEN_SHA256 = {
     "wide/test.csv": "9d0115776a0f8b80296824c9b3c67c98378243d9b9fcdcd32c033ce67e5d4b49",
     "wide/truth.csv": "6ddcfdfd0478e7f7bea3f118eb42c63adb6f8f0ae4cd9a512c0a5809e1afab7e",
     "models/manifest.json": "8ca1792b2026f489774cd5bfc6c5a0407cdf43d0a504a7736220504aaee20931",
+    "data/manifest.json": "4889ef3fa0ec1c5550852c38c8dc3326bba2067f746043a70905b555a80fcc71",
+    "multi/train.csv": "9846ef2740f6b9eb639d2aa71180fa94c7b0385eb11a3ff7e3c14ebe0a1ed28d",
+    "multi/test.csv": "e86577f95ad416407a102fb07525aaebf4a43474a9cc5590ed869fb7a423bf6a",
+    "multi/truth.csv": "5e4ffe6824e975d8b444bd12d25dbc8dc0bd20d87f9edf9a8693507530fdfa3b",
+    "multi/manifest.json": "3abe46f37d054fb361e35606f88df15bc6844efa20f2f99cf951a7dc8abed59c",
 }
 
 
@@ -541,6 +607,7 @@ def test_generated_csvs_and_train_manifest_are_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["generate", "--out", "data"]) == 0
     assert main(["generate", "--out", "wide", *WIDE_SCENARIO]) == 0
+    assert main(["generate", "--out", "multi", *MULTI_LAUNCH_SCENARIO]) == 0
     assert main(["train", "--data", "data/train.csv", "data/test.csv",
                  "--out", "models", "--threads", "1"]) == 0
     got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()

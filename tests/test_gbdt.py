@@ -48,6 +48,12 @@ class TestTrainConfig:
         {"reg_lambda": -0.1},
         {"min_child_weight": -1.0},
         {"min_gain": -1e-9},
+        {"reg_lambda": float("nan")},
+        {"reg_lambda": float("inf")},
+        {"min_child_weight": float("nan")},
+        {"min_child_weight": float("inf")},
+        {"min_gain": float("nan")},
+        {"min_gain": float("inf")},
     ])
     def test_bounds(self, kwargs):
         with pytest.raises(ValidationError):

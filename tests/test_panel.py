@@ -11,7 +11,6 @@ from triboost.errors import (
     ValidationError,
 )
 from triboost.panel import (
-    CsvSchema,
     GroupLayout,
     PanelDataset,
     PanelRecord,
@@ -136,6 +135,34 @@ class TestFromRecords:
         assert panel("P0", 1) == base
         assert panel("P2", 1) != base  # one product id differs
         assert panel("P0", 0) != base  # one week differs
+
+
+class TestFromColumns:
+    def test_equals_from_records_and_copies_features(self):
+        ds = make_panel({0: [1.25, 2.5], 3: [0.1, 0.2, 0.3]}, {4: (2, 10.7)})
+        features = ds.features.copy()
+        sales = ds.actuals.tolist() + [None] * (ds.n - ds.m)
+        again = PanelDataset.from_columns(
+            ds.product_ids, ds.week_of_row, features, sales, ds.feature_names,
+            {4: 10.7},
+        )
+        assert again == ds
+        features[0, 0] = 99.0
+        assert again == ds
+
+    @pytest.mark.parametrize("column, value", [
+        ("product_ids", ["P0"]),
+        ("week_of_row", [0]),
+        ("features", [[0.5]]),
+        ("sales", [1.0]),
+        ("features", [[0.5, 1.0], [0.6, 1.0]]),  # two features, one name
+    ])
+    def test_column_shapes_must_agree(self, column, value):
+        columns = dict(product_ids=["P0", "P1"], week_of_row=[0, 0],
+                       features=[[0.5], [0.6]], sales=[1.0, 2.0])
+        columns[column] = value
+        with pytest.raises(ValidationError, match="columns disagree"):
+            PanelDataset.from_columns(feature_names=["f_0"], **columns)
 
 
 class TestWeekGroups:
@@ -272,16 +299,6 @@ class TestCsvIo:
         ds = load_panel_csv(path)
         assert ds.feature_names == ("alpha", "beta")
         assert ds.features.tolist() == [[0.5, 1.5]]
-
-    def test_explicit_feature_subset(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text(
-            "product_id,week,sales,category_total,alpha,beta\n"
-            "P0,0,1.0,,0.5,1.5\n"
-        )
-        ds = load_panel_csv(path, CsvSchema(features=("beta",)))
-        assert ds.feature_names == ("beta",)
-        assert ds.features.tolist() == [[1.5]]
 
     def test_category_column_must_be_constant(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -100,6 +100,8 @@ class TestConfigValidation:
                 ),
                 "on sale from week 0",
             ),
+            (dict(noise_sd=float("nan")), "noise_sd"),
+            (dict(noise_sd=float("inf")), "noise_sd"),
         ],
     )
     def test_rejects(self, kwargs, fragment):
