@@ -27,7 +27,7 @@ from .errors import (
 from .gbdt import GbdtModel, load_model, save_model
 from .metrics import category_adherence, product_metrics
 from .objectives import pred_ratio, stage3_target
-from .panel import GroupLayout, _parse_float, _parse_int, _read_csv, load_panel_csv
+from .panel import GroupLayout, _open_output, _parse_float, _parse_int, _read_csv, load_panel_csv
 from .pipeline import (
     PipelineConfig,
     StageOutputs,
@@ -150,14 +150,9 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return cfgmod.pipeline_config_from_mapping(_mapping_from(args))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise PersistenceError(f"cannot write {path}: {exc}") from exc
+def _write_json(path: str | Path, payload: dict) -> None:
+    with _open_output(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -182,7 +177,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
     result = run_pipeline(dataset, config, n_threads=args.threads)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for name, fname in MODEL_FILES.items():
         save_model(getattr(result, name).model, out / fname)
     _write_json(out / "manifest.json", {
@@ -219,20 +213,15 @@ def _predict_stages(dataset, models: dict[str, GbdtModel]) -> StageOutputs:
 def _cmd_predict(args: argparse.Namespace) -> int:
     dataset = load_panel_csv(args.data)
     outputs = _predict_stages(dataset, _load_models(args.models))
-    out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["product_id", "week", *MODEL_FILES])
-            writer.writerows(zip(
-                dataset.product_ids,
-                map(str, dataset.week_of_row.tolist()),
-                *(map(repr, getattr(outputs, s).tolist()) for s in MODEL_FILES),
-            ))
-    except OSError as exc:
-        raise PersistenceError(f"cannot write {out}: {exc}") from exc
-    _write_json(Path(str(out) + ".manifest.json"), {
+    with _open_output(args.out) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["product_id", "week", *MODEL_FILES])
+        writer.writerows(zip(
+            dataset.product_ids,
+            map(str, dataset.week_of_row.tolist()),
+            *(map(repr, getattr(outputs, s).tolist()) for s in MODEL_FILES),
+        ))
+    _write_json(args.out + ".manifest.json", {
         "command": "predict",
         "data": list(args.data),
         "models": args.models,
@@ -282,7 +271,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report["manifest"] = {
         "command": "evaluate", "pred": args.pred, "truth": args.truth,
     }
-    _write_json(Path(args.out), report)
+    _write_json(args.out, report)
     return 0
 
 
@@ -291,7 +280,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     outputs = _predict_stages(dataset, _load_models(args.models))
     config = _pipeline_config(args)
     report = diagnose(dataset, outputs, config)
-    _write_json(Path(args.out), {
+    _write_json(args.out, {
         **report.to_dict(),
         "manifest": {
             "command": "diagnose",

@@ -47,8 +47,8 @@ class ScenarioConfigError(ValidationError):
 
 
 class ConstraintDataError(TriboostError):
-    """A future week is missing (or has conflicting) category-total data (exit code 4)."""
+    """A future week's category total is missing or invalid (exit code 4)."""
 
 
 class PersistenceError(TriboostError):
-    """A persisted artifact is malformed or has an unknown version (exit code 5)."""
+    """A persisted artifact is malformed or unwritable (exit code 5)."""

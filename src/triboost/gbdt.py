@@ -319,6 +319,7 @@ def save_model(model: GbdtModel, path: str | Path) -> None:
     path = Path(path)
     try:
         text = json.dumps(model.to_dict(), indent=2, sort_keys=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n", encoding="utf-8")
     except OSError as exc:
         raise PersistenceError(f"cannot write model to {path}: {exc}") from exc

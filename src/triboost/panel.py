@@ -7,7 +7,9 @@ carry actual sales); the remaining rows are future rows that instead carry a
 known weekly category total.  The rows of one week are a contiguous slice
 and the coupling unit of the sum-constrained objectives;
 :meth:`GroupLayout.from_week_column` is the one routine that finds those
-slices and their category totals.
+slices and their category totals, and the only code that checks a future
+week's total: every row of the week must carry the same finite,
+non-negative value in the row-aligned category-total column.
 
 :meth:`PanelDataset.from_columns` is the one constructor that validates a
 panel; :func:`load_panel_csv` and the scenario generator build their
@@ -21,16 +23,18 @@ from __future__ import annotations
 
 import csv
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import (
     ConstraintDataError,
     OrderingError,
+    PersistenceError,
     SchemaError,
     ValidationError,
 )
@@ -69,7 +73,7 @@ class GroupLayout:
         cls,
         week_of_row: Sequence[int] | np.ndarray,
         sales: Sequence[float] | np.ndarray,
-        future_totals: Mapping[int, float] | None = None,
+        category_totals: Sequence[float | None] | np.ndarray | None = None,
     ) -> "GroupLayout":
         """Group a sorted week column into one slice per week.
 
@@ -77,7 +81,9 @@ class GroupLayout:
         total is the member-order sum of its ``sales``, accumulated left
         to right (``np.add.reduceat`` adds in another order and can differ
         in the last bits, even on three rows).  Every later week is a
-        future week whose total comes from ``future_totals``.
+        future week: its rows must all carry the same finite, non-negative
+        total in the row-aligned ``category_totals``, which is ignored on
+        historical rows.
         """
         weeks = np.asarray(week_of_row, dtype=np.intp)
         if weeks.ndim != 1 or weeks.size == 0:
@@ -92,11 +98,14 @@ class GroupLayout:
             )
         hist = np.asarray(sales, dtype=np.float64).tolist()
         m = len(hist)
-        if m > n:
-            raise ValidationError(f"sales cover {m} rows, week column has {n}")
+        column = [None] * n if category_totals is None else category_totals
+        if m > n or len(column) != n:
+            raise ValidationError(
+                f"sales cover {m} rows and category totals {len(column)}; "
+                f"the week column has {n}"
+            )
         starts = np.flatnonzero(np.r_[True, weeks[1:] != weeks[:-1]])
         ends = np.r_[starts[1:], n]
-        future_totals = future_totals or {}
         totals = []
         bounds = zip(starts.tolist(), ends.tolist(), weeks[starts].tolist())
         for start, end, week in bounds:
@@ -106,14 +115,18 @@ class GroupLayout:
                 total = 0.0
                 for value in hist[start:end]:  # member order: deterministic accumulation
                     total += value
-            elif week not in future_totals:
-                raise ConstraintDataError(f"future week {week} has no category total")
             else:
-                total = float(future_totals[week])
-                if not np.isfinite(total) or total < 0:
-                    raise ConstraintDataError(
-                        f"future week {week}: category total must be finite and >= 0"
-                    )
+                total = column[start]
+                for i, cell in enumerate(column[start:end], start):
+                    if cell is None:
+                        problem = f"no category total (row {i} lacks one)"
+                    elif not 0 <= cell < np.inf:
+                        problem = f"category total must be finite and >= 0, got {cell}"
+                    elif cell != total:
+                        problem = f"conflicting category totals {total} and {cell}"
+                    else:
+                        continue
+                    raise ConstraintDataError(f"future week {week}: {problem}")
             totals.append(total)
         return cls(
             starts=starts,
@@ -163,26 +176,30 @@ class PanelDataset:
         features: np.ndarray,
         sales: Sequence[float | None],
         feature_names: Sequence[str],
-        future_totals: Mapping[int, float] | None = None,
+        category_totals: Sequence[float | None] | np.ndarray | None = None,
     ) -> "PanelDataset":
         """Build a dataset from row-aligned columns, the one constructor
         that validates a panel.
 
         ``features`` is an (n, k) matrix with ``k = len(feature_names)``;
         ``sales`` holds each historical row's sales and None on future rows;
-        ``future_totals`` maps each future week to its category total.  Each
-        check runs on a whole column and names its first bad row.
+        ``category_totals`` mirrors a panel CSV's ``category_total`` column,
+        which only future rows need.  Each check runs on a whole column and
+        names its first bad row.
         """
         n = len(product_ids)
         if n == 0:
             raise ValidationError("dataset has no rows")
         features = np.array(features, dtype=np.float64)
         k = len(feature_names)
-        if features.shape != (n, k) or len(week_of_row) != n or len(sales) != n:
+        if category_totals is None:
+            category_totals = [None] * n
+        lengths = (len(week_of_row), len(sales), len(category_totals))
+        if features.shape != (n, k) or lengths != (n, n, n):
             raise ValidationError(
-                f"columns disagree: {n} product ids, {len(week_of_row)} weeks, "
-                f"{len(sales)} sales and a {features.shape} feature matrix "
-                f"for {k} features"
+                f"columns disagree: {n} product ids, {lengths[0]} weeks, "
+                f"{lengths[1]} sales, {lengths[2]} category totals and a "
+                f"{features.shape} feature matrix for {k} features"
             )
         weeks = np.asarray(week_of_row)
         if (i := _first(weeks < 0)) is not None:
@@ -214,7 +231,7 @@ class PanelDataset:
         if len(set(keys)) != len(keys):
             raise ValidationError("duplicate (week, product) rows")
 
-        layout = GroupLayout.from_week_column(weeks, actuals, future_totals)
+        layout = GroupLayout.from_week_column(weeks, actuals, category_totals)
         features.setflags(write=False)
         actuals.setflags(write=False)
         return cls(
@@ -234,22 +251,17 @@ class PanelDataset:
     ) -> "PanelDataset":
         """Build a dataset from :class:`PanelRecord` rows: unzip them into
         columns and hand those to :meth:`from_columns`."""
-        rows = [r.features for r in records]
         k = len(feature_names)
-        try:
-            features = np.array(rows, dtype=np.float64)
-        except ValueError:  # rows of different shapes
-            features = np.empty(0)
-        if rows and features.shape != (len(rows), k):
-            i = next(i for i, x in enumerate(rows) if x.shape != (k,))
-            raise ValidationError(f"row {i}: expected {k} features, got {rows[i].shape}")
+        for i, shape in enumerate(np.shape(r.features) for r in records):
+            if shape != (k,):
+                raise ValidationError(f"row {i}: expected {k} features, got {shape}")
         return cls.from_columns(
             [r.product_id for r in records],
             [r.week_index for r in records],
-            features,
+            [r.features for r in records],
             [r.actual_sales for r in records],
             feature_names,
-            future_totals,
+            [(future_totals or {}).get(r.week_index) for r in records],
         )
 
     @property
@@ -341,25 +353,9 @@ def load_panel_csv(paths: str | Path | Sequence[str | Path]) -> PanelDataset:
     products, weeks, sales, totals = (
         [col[i] for i in order] for col in columns
     )
-
-    future_totals: dict[int, float] = {}
-    for week, product, row_sales, total in zip(weeks, products, sales, totals):
-        if row_sales is not None:
-            continue
-        if total is None:
-            raise ConstraintDataError(
-                f"future row (product {product}, week {week}) lacks a category total"
-            )
-        if week in future_totals and future_totals[week] != total:
-            raise ConstraintDataError(
-                f"week {week} carries conflicting category totals "
-                f"{future_totals[week]} and {total}"
-            )
-        future_totals.setdefault(week, total)
-
     matrix = np.frombuffer(features).reshape(len(order), len(feature_names))
     return PanelDataset.from_columns(
-        products, weeks, matrix[order], sales, feature_names, future_totals
+        products, weeks, matrix[order], sales, feature_names, totals
     )
 
 
@@ -409,8 +405,7 @@ def save_panel_csv(
     actuals = dataset.actuals.tolist()
     features = dataset.features.tolist()
     indices = range(dataset.n) if rows is None else rows
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow([*PANEL_COLUMNS, *dataset.feature_names])
         for i in indices:
@@ -448,6 +443,21 @@ def _read_csv(path: str | Path, required: Iterable[str]) -> Iterator:
         raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+@contextmanager
+def _open_output(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing as UTF-8 text with ``newline=""``, creating
+    its parent directory: every file the package writes, except a model,
+    goes through here.  Any ``OSError``, from the ``mkdir`` to the close,
+    is a :class:`PersistenceError` naming the file."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise PersistenceError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_int(text: str, path: Path, lineno: int, colname: str) -> int:

@@ -37,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ScenarioConfigError
-from .panel import PanelDataset, save_panel_csv
+from .panel import PanelDataset, _open_output, save_panel_csv
 
 _FEATURE_NAMES = ("f_0", "f_1", "f_2", "f_3", "f_4")
 _ATTRACT_PROXY_SD = 0.05
@@ -60,6 +60,9 @@ class CategoryCurve:
             raise ScenarioConfigError(
                 f"unknown curve kind {self.kind!r}, expected one of {CURVE_KINDS}"
             )
+        for name in ("base", "slope", "amplitude", "period"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ScenarioConfigError(f"curve {name} must be finite, got {value}")
         if self.base <= 0:
             raise ScenarioConfigError(f"curve base must be > 0, got {self.base}")
         if self.kind == "seasonal" and self.period <= 0:
@@ -112,9 +115,10 @@ class ScenarioConfig:
             raise ScenarioConfigError(
                 f"noise_sd must be finite and >= 0, got {self.noise_sd}"
             )
-        if self.stage1_bias_injection <= -1.0:
+        if not -1.0 < self.stage1_bias_injection < math.inf:
             raise ScenarioConfigError(
-                "stage1_bias_injection must be > -1 (it scales a feature by 1+bias)"
+                "stage1_bias_injection must be finite and > -1 (it scales a "
+                f"feature by 1+bias), got {self.stage1_bias_injection}"
             )
         total = self.num_weeks_hist + self.num_weeks_future
         ids = set(self.product_ids())
@@ -244,7 +248,6 @@ def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
     ])
     row_sales = sales[row_week, row_product]
     row_ids = [pids[i] for i in row_product.tolist()]
-    future_totals = {w: float(recorded_totals[w]) for w in range(hist, T)}
 
     dataset = PanelDataset.from_columns(
         row_ids,
@@ -252,7 +255,7 @@ def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
         features,
         row_sales[:m].tolist() + [None] * (row_week.size - m),
         _FEATURE_NAMES,
-        future_totals,
+        recorded_totals[row_week],
     )
     truth = GroundTruth(
         product_ids=tuple(row_ids[m:]),
@@ -267,16 +270,10 @@ def write_scenario(
 ) -> dict[str, Path]:
     """Write train.csv (historical rows), test.csv (future rows), and
     truth.csv.  Loading train+test together reproduces the dataset."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "train": out / "train.csv",
-        "test": out / "test.csv",
-        "truth": out / "truth.csv",
-    }
+    paths = {name: Path(out_dir) / f"{name}.csv" for name in ("train", "test", "truth")}
     save_panel_csv(dataset, paths["train"], rows=range(0, dataset.m))
     save_panel_csv(dataset, paths["test"], rows=range(dataset.m, dataset.n))
-    with paths["truth"].open("w", newline="", encoding="utf-8") as fh:
+    with _open_output(paths["truth"]) as fh:
         fh.write("product_id,week,true_sales\n")
         for pid, week, value in zip(truth.product_ids, truth.weeks, truth.sales):
             fh.write(f"{pid},{int(week)},{repr(float(value))}\n")

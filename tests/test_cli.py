@@ -521,6 +521,27 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "generate", "train", "predict", "evaluate", "diagnose",
+    ])
+    def test_out_below_a_file_is_persistence(self, ws, tmp_path, capsys, command):
+        # generate and train used to end in a NotADirectoryError traceback.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        data = ["--data", str(ws / "data" / "train.csv"), str(ws / "data" / "test.csv")]
+        argv = {
+            "generate": [*SCN],
+            "train": [*data, *TRN],
+            "predict": [*data, "--models", str(ws / "models")],
+            "evaluate": ["--pred", str(ws / "preds.csv"),
+                         "--truth", str(ws / "data" / "truth.csv")],
+            "diagnose": [*data, "--models", str(ws / "models"), *TRN],
+        }[command]
+        code, captured = run([command, *argv, "--out", str(blocker / "out")], capsys)
+        assert code == 5
+        assert captured.err.startswith("persistence: cannot write ")
+        assert captured.err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "generate" in capsys.readouterr().out

@@ -93,7 +93,9 @@ class TestStage2:
     def test_layout_or_dataset_equivalent(self, two_week_panel):
         # The dataset's layout and one rebuilt from its week column agree.
         ds = two_week_panel
-        rebuilt = GroupLayout.from_week_column(ds.week_of_row, ds.actuals, {1: 10.0})
+        rebuilt = GroupLayout.from_week_column(
+            ds.week_of_row, ds.actuals, [None, None, 10.0, 10.0]
+        )
         t = targets([3.0, 1.0, 4.0, 4.0])
         preds = np.array([2.0, 2.0, 3.0, 3.0])
         assert Stage2Objective(ds.layout, t).loss(preds) == Stage2Objective(

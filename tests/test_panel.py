@@ -144,7 +144,7 @@ class TestFromColumns:
         sales = ds.actuals.tolist() + [None] * (ds.n - ds.m)
         again = PanelDataset.from_columns(
             ds.product_ids, ds.week_of_row, features, sales, ds.feature_names,
-            {4: 10.7},
+            [None] * ds.m + [10.7, 10.7],
         )
         assert again == ds
         features[0, 0] = 99.0
@@ -156,6 +156,7 @@ class TestFromColumns:
         ("features", [[0.5]]),
         ("sales", [1.0]),
         ("features", [[0.5, 1.0], [0.6, 1.0]]),  # two features, one name
+        ("category_totals", [5.0]),
     ])
     def test_column_shapes_must_agree(self, column, value):
         columns = dict(product_ids=["P0", "P1"], week_of_row=[0, 0],
@@ -188,6 +189,25 @@ class TestWeekGroups:
         assert reduced != expected
         layout = GroupLayout.from_week_column([3] * 12, sales)
         assert layout.totals.tolist() == [expected]
+
+    @pytest.mark.parametrize("column, fragment", [
+        ([None, None, 9.0], r"future week 1: no category total \(row 1 lacks one\)"),
+        ([None, 9.0, 8.0], "future week 1: conflicting category totals 9.0 and 8.0"),
+        ([None, np.nan, np.nan], "future week 1: category total must be finite"),
+        ([None, np.inf, np.inf], "future week 1: category total must be finite"),
+        ([None, -1.0, -1.0], r"future week 1: category total must be .* >= 0"),
+    ])
+    def test_future_total_column_checked_per_week(self, column, fragment):
+        with pytest.raises(ConstraintDataError, match=fragment):
+            GroupLayout.from_week_column([0, 1, 1], [2.0], column)
+
+    def test_total_column_ignored_on_historical_rows(self):
+        layout = GroupLayout.from_week_column([0, 1], [2.0], [np.nan, 5.0])
+        assert layout.totals.tolist() == [2.0, 5.0]
+
+    def test_total_column_must_cover_every_row(self):
+        with pytest.raises(ValidationError, match="category totals 1; the week column has 2"):
+            GroupLayout.from_week_column([0, 1], [2.0], [5.0])
 
     def test_future_total_comes_from_mapping(self):
         ds = make_panel({0: [1.0]}, {1: (2, 42.5)})
@@ -330,6 +350,17 @@ class TestCsvIo:
         with pytest.raises(ConstraintDataError, match="conflicting"):
             load_panel_csv(path)
 
+    def test_non_finite_future_total_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "product_id,week,sales,category_total,alpha\n"
+            "P0,0,1.0,,0.5\n"
+            "P0,1,,nan,0.5\n"
+            "P1,1,,nan,0.5\n"
+        )
+        with pytest.raises(ConstraintDataError, match="week 1: category total must"):
+            load_panel_csv(path)
+
     def test_future_row_without_total_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(
@@ -371,7 +402,7 @@ def test_build_week_groups_marks_future_from_m():
     layout = GroupLayout.from_week_column(
         [r.week_index for r in records],
         [r.actual_sales for r in records[:2]],
-        {1: 9.0},
+        [None, None, 9.0],
     )
     assert layout.is_future.tolist() == [False, True]
     assert layout.totals[0] == 4.0

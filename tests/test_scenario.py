@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triboost.errors import ScenarioConfigError
+from triboost.errors import PersistenceError, ScenarioConfigError
 from triboost.panel import load_panel_csv
 from triboost.scenario import (
     CategoryCurve,
@@ -61,6 +61,14 @@ class TestCurve:
         with pytest.raises(ScenarioConfigError, match="base"):
             CategoryCurve(kind="flat", base=0.0)
 
+    @pytest.mark.parametrize("field", ["base", "slope", "amplitude", "period"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        # period=inf used to give a flat curve; a NaN failed later as a
+        # non-finite feature on some row of the generated panel.
+        with pytest.raises(ScenarioConfigError, match=f"curve {field} must be finite"):
+            CategoryCurve(**{field: value})
+
     def test_totals_must_stay_positive(self):
         c = CategoryCurve(kind="seasonal", base=100.0, amplitude=1.5)
         with pytest.raises(ScenarioConfigError, match="positive"):
@@ -102,6 +110,8 @@ class TestConfigValidation:
             ),
             (dict(noise_sd=float("nan")), "noise_sd"),
             (dict(noise_sd=float("inf")), "noise_sd"),
+            (dict(stage1_bias_injection=float("nan")), "stage1_bias_injection"),
+            (dict(stage1_bias_injection=float("inf")), "stage1_bias_injection"),
         ],
     )
     def test_rejects(self, kwargs, fragment):
@@ -295,6 +305,13 @@ class TestWriteScenario:
         b = write_scenario(ds, truth, tmp_path / "b")
         for key in a:
             assert a[key].read_bytes() == b[key].read_bytes()
+
+    def test_unwritable_directory_is_persistence(self, tmp_path):
+        ds, truth = generate(ScenarioConfig(**SMALL))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(PersistenceError, match="cannot write"):
+            write_scenario(ds, truth, blocker / "s")
 
 
 def test_ground_truth_len():
