@@ -56,6 +56,7 @@ from .pipeline import (
     StageOutputs,
     bias_tally,
     diagnose,
+    predict_stages,
     pseudo_label_targets,
     run_pipeline,
     run_stage1,

@@ -26,22 +26,13 @@ from .errors import (
 )
 from .gbdt import GbdtModel, load_model, save_model
 from .metrics import category_adherence, product_metrics
-from .objectives import pred_ratio, stage3_target
-from .panel import GroupLayout, _open_output, _parse_float, _parse_int, _read_csv, load_panel_csv
-from .pipeline import (
-    PipelineConfig,
-    StageOutputs,
-    diagnose,
-    run_pipeline,
-    stage3_features,
+from .panel import (
+    GroupLayout, _open_output, _parse_float, _parse_int, _read_csv, _writing, load_panel_csv,
 )
+from .pipeline import STAGES, PipelineConfig, diagnose, predict_stages, run_pipeline
 from .scenario import generate, write_scenario
 
-MODEL_FILES = {
-    "stage1": "model_stage1.json",
-    "stage2": "model_stage2.json",
-    "stage3": "model_stage3.json",
-}
+MODEL_FILES = {stage: f"model_{stage}.json" for stage in STAGES}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,53 +164,39 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    dataset = load_panel_csv(args.data)
     config = _pipeline_config(args)
-    result = run_pipeline(dataset, config, n_threads=args.threads)
     out = Path(args.out)
+    with _writing(out):  # an unwritable --out fails before training
+        out.mkdir(parents=True, exist_ok=True)
+    dataset = load_panel_csv(args.data)
+    result = run_pipeline(dataset, config, n_threads=args.threads)
     for name, fname in MODEL_FILES.items():
         save_model(getattr(result, name).model, out / fname)
     _write_json(out / "manifest.json", {
         "command": "train",
         "data": list(args.data),
-        "config": {s: cfgmod.train_config_echo(c) for s, c in zip(MODEL_FILES, config.resolved())},
+        "config": {s: cfgmod.train_config_echo(c) for s, c in zip(STAGES, config.resolved())},
         "models": dict(MODEL_FILES),
-        "loss_curves": {s: list(getattr(result, s).loss_curve) for s in MODEL_FILES},
+        "loss_curves": {s: list(getattr(result, s).loss_curve) for s in STAGES},
         "diagnostics": result.diagnostics.to_dict(),
     })
     return 0
 
 
-def _load_models(models_dir: str) -> dict[str, GbdtModel]:
-    root = Path(models_dir)
-    return {name: load_model(root / fname) for name, fname in MODEL_FILES.items()}
-
-
-def _predict_stages(dataset, models: dict[str, GbdtModel]) -> StageOutputs:
-    X = dataset.features
-    s1 = models["stage1"].predict(X)
-    s2 = models["stage2"].predict(X)
-    s3 = models["stage3"].predict(stage3_features(X, s2))
-    ratios = pred_ratio(s1, dataset.layout)
-    return StageOutputs(
-        stage1=s1,
-        stage2=s2,
-        stage3=s3,
-        ratios=ratios,
-        stage3_targets=stage3_target(ratios, dataset.layout),
-    )
+def _load_models(models_dir: str) -> list[GbdtModel]:
+    return [load_model(Path(models_dir) / fname) for fname in MODEL_FILES.values()]
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     dataset = load_panel_csv(args.data)
-    outputs = _predict_stages(dataset, _load_models(args.models))
+    outputs = predict_stages(dataset, _load_models(args.models))
     with _open_output(args.out) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["product_id", "week", *MODEL_FILES])
+        writer.writerow(["product_id", "week", *STAGES])
         writer.writerows(zip(
             dataset.product_ids,
             map(str, dataset.week_of_row.tolist()),
-            *(map(repr, getattr(outputs, s).tolist()) for s in MODEL_FILES),
+            *(map(repr, getattr(outputs, s).tolist()) for s in STAGES),
         ))
     _write_json(args.out + ".manifest.json", {
         "command": "predict",
@@ -248,7 +225,7 @@ def _read_keyed_csv(
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    preds = _read_keyed_csv(args.pred, tuple(MODEL_FILES))
+    preds = _read_keyed_csv(args.pred, STAGES)
     truth = _read_keyed_csv(args.truth, ("true_sales",))
     if not truth:
         raise ValidationError("truth file has no rows")
@@ -262,7 +239,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     true_sales = np.array([truth[k][0] for k in keys])
     layout = GroupLayout.from_week_column([week for week, _ in keys], true_sales)
     report = {"rows": len(keys)}
-    for j, stage in enumerate(MODEL_FILES):
+    for j, stage in enumerate(STAGES):
         stage_preds = np.array([preds[k][j] for k in keys])
         report[stage] = {
             **product_metrics(stage_preds, true_sales),
@@ -277,7 +254,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     dataset = load_panel_csv(args.data)
-    outputs = _predict_stages(dataset, _load_models(args.models))
+    outputs = predict_stages(dataset, _load_models(args.models))
     config = _pipeline_config(args)
     report = diagnose(dataset, outputs, config)
     _write_json(args.out, {

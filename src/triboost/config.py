@@ -5,10 +5,12 @@ Overrides are ``key=value`` strings (from repeatable CLI flags) applied on
 top of the file, so the effective mapping is reproducible from the manifest
 echo alone.
 
-Training keys (apply to every stage unless prefixed): num_rounds,
-max_depth, learning_rate, reg_lambda, min_child_weight, min_gain.
-A ``stage2.`` / ``stage3.`` / ``stage1.`` prefix overrides one stage, e.g.
-``stage3.num_rounds = 500``.
+Training keys: num_rounds, max_depth, learning_rate, reg_lambda,
+min_child_weight, min_gain.  Stage 1 is the defaults, then the unprefixed
+keys, then the ``stage1.`` keys.  Stages 2 and 3 are stage 1 with their own
+``stage2.`` / ``stage3.`` keys applied, key by key: with
+``stage1.num_rounds = 50`` and ``stage2.max_depth = 3``, stage 2 trains
+50 rounds at depth 3, and stage 3 is stage 1.
 
 Scenario keys: num_products, num_weeks_hist, num_weeks_future,
 launch_schedule (``P4:85,P5:90``), curve (flat | linear-trend | seasonal),
@@ -19,13 +21,13 @@ share_decay_on_launch, noise_sd, stage1_bias_injection, seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Iterable
 
 from .errors import ValidationError
 from .gbdt import TrainConfig
-from .pipeline import PipelineConfig
+from .pipeline import STAGES, PipelineConfig
 from .scenario import CategoryCurve, ScenarioConfig
 
 
@@ -88,12 +90,13 @@ _PARSERS = {
     "Mapping[str, int]": lambda mapping, key: _parse_schedule(mapping[key]),
 }
 _TRAIN_PARSERS = {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
-_STAGE_PREFIXES = ("stage1", "stage2", "stage3")
 
 
 def pipeline_config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
+    """Stage 1 from the unprefixed then the ``stage1.`` keys; a later stage
+    is stage 1 with its own keys applied, or ``None`` if it sets none."""
     base: dict[str, object] = {}
-    per_stage: dict[str, dict[str, object]] = {p: {} for p in _STAGE_PREFIXES}
+    per_stage: dict[str, dict[str, object]] = {s: {} for s in STAGES}
     for key in mapping:
         stage, _, field = key.partition(".")
         target, name = (per_stage[stage], field) if stage in per_stage else (base, key)
@@ -101,10 +104,9 @@ def pipeline_config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
             raise ValidationError(f"unknown training config key {key!r}")
         target[name] = _TRAIN_PARSERS[name](mapping, key)
 
-    stage1 = TrainConfig(**{**base, **per_stage["stage1"]})
-    stage2 = TrainConfig(**{**base, **per_stage["stage2"]}) if per_stage["stage2"] else None
-    stage3 = TrainConfig(**{**base, **per_stage["stage3"]}) if per_stage["stage3"] else None
-    return PipelineConfig(stage1=stage1, stage2=stage2, stage3=stage3)
+    own, *later = per_stage.values()
+    stage1 = TrainConfig(**{**base, **own})
+    return PipelineConfig(stage1, *(replace(stage1, **keys) if keys else None for keys in later))
 
 
 # Each scenario key's field: ScenarioConfig's fields and, under a

@@ -452,10 +452,17 @@ def _open_output(path: str | Path) -> Iterator[TextIO]:
     goes through here.  Any ``OSError``, from the ``mkdir`` to the close,
     is a :class:`PersistenceError` naming the file."""
     path = Path(path)
-    try:
+    with _writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", newline="", encoding="utf-8") as fh:
             yield fh
+
+
+@contextmanager
+def _writing(path: str | Path) -> Iterator[None]:
+    """Turn an ``OSError`` in the block into a PersistenceError naming ``path``."""
+    try:
+        yield
     except OSError as exc:
         raise PersistenceError(f"cannot write {path}: {exc}") from exc
 

@@ -13,12 +13,16 @@ sums drift from the known totals, whether its errors are one-sided
 terms on future rows, and whether constraint-only training degenerates to
 the per-week constant total/count when features carry no within-week
 signal.
+
+:data:`STAGES` names the passes; ``run_stage1/2/3`` each return a
+:class:`StageFit`.  :func:`predict_stages` turns three trained models into
+:class:`StageOutputs`, as :func:`run_pipeline` does with the ones it fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +38,9 @@ from .objectives import (
     stage3_target,
 )
 from .panel import PanelDataset
+
+# The cascade's passes in order: model file, manifest and CSV column names.
+STAGES = ("stage1", "stage2", "stage3")
 
 PROBE_CONFIG = TrainConfig(
     num_rounds=200,
@@ -53,11 +60,7 @@ class PipelineConfig:
     stage3: TrainConfig | None = None
 
     def resolved(self) -> tuple[TrainConfig, TrainConfig, TrainConfig]:
-        return (
-            self.stage1,
-            self.stage2 if self.stage2 is not None else self.stage1,
-            self.stage3 if self.stage3 is not None else self.stage1,
-        )
+        return (self.stage1, self.stage2 or self.stage1, self.stage3 or self.stage1)
 
 
 @dataclass(frozen=True)
@@ -188,17 +191,33 @@ def run_stage3(
     stage1_preds: np.ndarray,
     stage2_preds: np.ndarray,
     config: TrainConfig,
-) -> tuple[StageFit, np.ndarray, StageTargets]:
+) -> StageFit:
     """Fine-tune toward rescaled-share targets on the augmented features.
 
     Stage-2 predictions enter as an input column only — the targets come
     from stage-1 shares and the category totals.
     """
-    ratios = pred_ratio(stage1_preds, dataset.layout)
-    targets = stage3_target(ratios, dataset.layout)
+    _, targets = _shares(dataset, stage1_preds)
     X3 = stage3_features(dataset.features, stage2_preds)
     objective = Stage3Objective(dataset.layout, targets)
-    return _fit_stage(X3, objective, config, dataset.n), ratios, targets
+    return _fit_stage(X3, objective, config, dataset.n)
+
+
+def _shares(dataset: PanelDataset, stage1_preds: np.ndarray) -> tuple[np.ndarray, StageTargets]:
+    """Each row's share of its week's stage-1 prediction, and the shares
+    rescaled to the category totals: the last two fields of StageOutputs."""
+    ratios = pred_ratio(stage1_preds, dataset.layout)
+    return ratios, stage3_target(ratios, dataset.layout)
+
+
+def predict_stages(dataset: PanelDataset, models: Sequence[GbdtModel]) -> StageOutputs:
+    """Apply the three stages' models, in :data:`STAGES` order, to every
+    row; stage 3 reads the stage-2 predictions as its extra column."""
+    model1, model2, model3 = models
+    X = dataset.features
+    s1, s2 = model1.predict(X), model2.predict(X)
+    s3 = model3.predict(stage3_features(X, s2))
+    return StageOutputs(s1, s2, s3, *_shares(dataset, s1))
 
 
 def _in_stage(name: str, call: Callable):
@@ -222,18 +241,11 @@ def run_pipeline(
     """
     config = config or PipelineConfig()
     cfg1, cfg2, cfg3 = config.resolved()
-    s1 = _in_stage("stage1", lambda: run_stage1(dataset, cfg1))
-    s2 = _in_stage("stage2", lambda: run_stage2(dataset, s1.preds, cfg2))
-    s3, ratios, targets3 = _in_stage(
-        "stage3", lambda: run_stage3(dataset, s1.preds, s2.preds, cfg3)
-    )
-    outputs = StageOutputs(
-        stage1=s1.preds,
-        stage2=s2.preds,
-        stage3=s3.preds,
-        ratios=ratios,
-        stage3_targets=targets3,
-    )
+    name1, name2, name3 = STAGES
+    s1 = _in_stage(name1, lambda: run_stage1(dataset, cfg1))
+    s2 = _in_stage(name2, lambda: run_stage2(dataset, s1.preds, cfg2))
+    s3 = _in_stage(name3, lambda: run_stage3(dataset, s1.preds, s2.preds, cfg3))
+    outputs = StageOutputs(s1.preds, s2.preds, s3.preds, *_shares(dataset, s1.preds))
     report = None
     if with_diagnostics:
         report = diagnose(dataset, outputs, config)
@@ -242,9 +254,7 @@ def run_pipeline(
     )
 
 
-def trivial_solution_probe(
-    dataset: PanelDataset, config: TrainConfig = PROBE_CONFIG
-) -> ProbeResult:
+def trivial_solution_probe(dataset: PanelDataset) -> ProbeResult:
     """Train on the constraint term alone with the week index as the only
     feature (zero variance within each week).
 
@@ -255,7 +265,7 @@ def trivial_solution_probe(
     """
     layout = dataset.layout
     week_col = dataset.week_of_row.astype(np.float64)[:, None]
-    probe = _fit_stage(week_col, ConstraintOnlyObjective(layout), config, dataset.n)
+    probe = _fit_stage(week_col, ConstraintOnlyObjective(layout), PROBE_CONFIG, dataset.n)
     weekly = layout.weekly_sums(probe.preds) / layout.counts
     targets = layout.totals / layout.counts
     gap = np.abs(weekly - targets)

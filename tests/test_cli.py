@@ -141,6 +141,19 @@ class TestTrain:
         assert manifest["config"]["stage3"]["num_rounds"] == 35
         assert len(manifest["loss_curves"]["stage3"]) == 36
 
+    def test_stage1_keys_reach_a_stage_with_keys_of_its_own(self, ws, tmp_path):
+        out = tmp_path / "m"
+        data = ws / "data"
+        assert main([
+            "train", "--data", str(data / "train.csv"), str(data / "test.csv"),
+            "--set", "stage1.num_rounds=5", "--set", "stage2.max_depth=2",
+            "--out", str(out),
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["stage2"]["num_rounds"] == 5
+        assert manifest["config"]["stage2"]["max_depth"] == 2
+        assert len(manifest["loss_curves"]["stage2"]) == 6
+
 
 class TestPredict:
     def test_output_shape(self, ws):
@@ -540,6 +553,24 @@ class TestExitCodes:
         code, captured = run([command, *argv, "--out", str(blocker / "out")], capsys)
         assert code == 5
         assert captured.err.startswith("persistence: cannot write ")
+        assert captured.err.count("\n") == 1
+
+    def test_train_claims_out_before_training(self, ws, tmp_path, capsys,
+                                              monkeypatch):
+        # train used to run the whole cascade before its first write failed.
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_pipeline called")
+
+        monkeypatch.setattr("triboost.cli.run_pipeline", no_training)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        data = ws / "data"
+        code, captured = run([
+            "train", "--data", str(data / "train.csv"), str(data / "test.csv"),
+            "--out", str(blocker / "m"), *TRN,
+        ], capsys)
+        assert code == 5
+        assert captured.err.startswith("persistence: ")
         assert captured.err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):

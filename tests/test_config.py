@@ -99,6 +99,18 @@ class TestPipelineConfigFromMapping:
         b = pipeline_config_from_mapping({"max_depth": "2"})
         assert a.stage1 == b.stage1
 
+    @pytest.mark.parametrize("mapping, expected", [
+        ({"stage1.num_rounds": "50", "stage2.max_depth": "3"},
+         [(50, 4), (50, 3), (50, 4)]),
+        ({"num_rounds": "40", "stage1.num_rounds": "50", "stage3.max_depth": "2"},
+         [(50, 4), (50, 4), (50, 2)]),
+    ])
+    def test_later_stage_is_stage1_with_its_own_keys(self, mapping, expected):
+        # A later stage is stage 1, stage1. keys included, with its own keys
+        # applied on top.
+        resolved = pipeline_config_from_mapping(mapping).resolved()
+        assert [(c.num_rounds, c.max_depth) for c in resolved] == expected
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown training config key"):
             pipeline_config_from_mapping({"rounds": "10"})
