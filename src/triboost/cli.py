@@ -29,7 +29,7 @@ from .metrics import category_adherence, product_metrics
 from .panel import (
     GroupLayout, _open_output, _parse_float, _parse_int, _read_csv, _writing, load_panel_csv,
 )
-from .pipeline import STAGES, PipelineConfig, diagnose, predict_stages, run_pipeline
+from .pipeline import STAGES, diagnose, predict_stages, run_pipeline
 from .scenario import generate, write_scenario
 
 MODEL_FILES = {stage: f"model_{stage}.json" for stage in STAGES}
@@ -137,10 +137,6 @@ def _mapping_from(args: argparse.Namespace) -> dict[str, str]:
     return cfgmod.apply_overrides(mapping, args.set)
 
 
-def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    return cfgmod.pipeline_config_from_mapping(_mapping_from(args))
-
-
 def _write_json(path: str | Path, payload: dict) -> None:
     with _open_output(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -164,11 +160,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = _pipeline_config(args)
+    config = cfgmod.pipeline_config_from_mapping(_mapping_from(args))
+    dataset = load_panel_csv(args.data)  # a bad input leaves no --out behind
     out = Path(args.out)
     with _writing(out):  # an unwritable --out fails before training
         out.mkdir(parents=True, exist_ok=True)
-    dataset = load_panel_csv(args.data)
     result = run_pipeline(dataset, config, n_threads=args.threads)
     for name, fname in MODEL_FILES.items():
         save_model(getattr(result, name).model, out / fname)
@@ -253,9 +249,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    mapping = _mapping_from(args)
+    for key in mapping:
+        stage = key.partition(".")[0]
+        if stage in STAGES[1:]:  # the report reads only stage 1's config
+            raise ValidationError(
+                f"config key {key!r}: diagnose refits stage 1 only; {stage} keys change nothing"
+            )
+    config = cfgmod.pipeline_config_from_mapping(mapping)
     dataset = load_panel_csv(args.data)
     outputs = predict_stages(dataset, _load_models(args.models))
-    config = _pipeline_config(args)
     report = diagnose(dataset, outputs, config)
     _write_json(args.out, {
         **report.to_dict(),

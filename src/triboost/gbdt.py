@@ -313,14 +313,68 @@ def _check_tree_shape(nodes: list[SplitNode | LeafNode], feature_count: int) -> 
         raise PersistenceError(f"node {orphans[0]}: unreachable from the root")
 
 
+def _json_float(x: float) -> str:
+    """A float as ``json.dumps`` writes it: ``float.__repr__`` (plain
+    ``repr`` of a numpy float names its type), or NaN/Infinity/-Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_LEAF_TEXT = '        {\n          "kind": "leaf",\n          "weight": %s\n        }'
+_SPLIT_TEXT = (
+    '        {\n          "feature": %d,\n          "kind": "split",\n'
+    '          "left": %d,\n          "right": %d,\n          "threshold": %s\n        }'
+)
+
+
+def _tree_text(tree: RegressionTree) -> str:
+    """One tree as it appears in the ``"trees"`` list of a saved model."""
+    nodes = ",\n".join(
+        _LEAF_TEXT % _json_float(node.weight)
+        if isinstance(node, LeafNode)
+        else _SPLIT_TEXT
+        % (node.feature, node.left, node.right, _json_float(node.threshold))
+        for node in tree.nodes
+    )
+    return (
+        f'    {{\n      "max_depth_reached": {tree.max_depth_reached:d},\n'
+        f'      "nodes": [\n{nodes}\n      ]\n    }}'
+    )
+
+
 def save_model(model: GbdtModel, path: str | Path) -> None:
     """Write a model as JSON.  Floats keep full precision, so a reload
-    predicts bit-identically."""
+    predicts bit-identically.
+
+    The file is written tree by tree straight from the nodes, one string per
+    tree, and its bytes equal ``json.dumps(model.to_dict(), indent=2,
+    sort_keys=True) + "\\n"``: sorted keys, floats as ``float.__repr__``
+    (NaN and the infinities as ``json`` writes them).  Any ``OSError`` is a
+    :class:`PersistenceError` naming the path."""
     path = Path(path)
+    head = (
+        f'{{\n  "base_score": {_json_float(model.base_score)},\n'
+        f'  "feature_count": {model.feature_count:d},\n'
+        f'  "learning_rate": {_json_float(model.learning_rate)},\n'
+    )
+    tail = f'  "version": {MODEL_FORMAT_VERSION:d}\n}}\n'
     try:
-        text = json.dumps(model.to_dict(), indent=2, sort_keys=True)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n", encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(head)
+            if model.trees:
+                fh.write('  "trees": [\n')
+                for i, tree in enumerate(model.trees):
+                    fh.write((",\n" if i else "") + _tree_text(tree))
+                fh.write("\n  ],\n")
+            else:
+                fh.write('  "trees": [],\n')
+            fh.write(tail)
     except OSError as exc:
         raise PersistenceError(f"cannot write model to {path}: {exc}") from exc
 
@@ -528,6 +582,7 @@ def fit(
     config: TrainConfig,
     *,
     loss_history: list[float] | None = None,
+    preds_out: np.ndarray | None = None,
 ) -> GbdtModel:
     """Train an ensemble of ``num_rounds`` trees against ``objective``.
 
@@ -536,6 +591,12 @@ def fit(
     ``learning_rate`` times the leaf weights.  If ``loss_history`` is a
     list, the objective's loss is appended before the first round and after
     every round (length num_rounds + 1).
+
+    If ``preds_out`` is given, it must be a writable float64 vector of one
+    entry per row; ``fit`` keeps its running predictions in it, so on return
+    it holds the model's predictions on the training rows, bit-identical to
+    ``model.predict(features)``: each row gets the same ``lr * w`` additions
+    in the same order.
 
     The feature matrix is transposed once per fit into contiguous (k, n)
     columns and argsorted into a (k, n) int32 column block, which every
@@ -551,7 +612,13 @@ def fit(
     columns = np.ascontiguousarray(X.T)
     presort = np.argsort(columns, axis=1, kind="stable").astype(np.int32)
     base = float(objective.base_score())
-    preds = np.full(n, base, dtype=np.float64)
+    preds = np.empty(n, dtype=np.float64) if preds_out is None else preds_out
+    if preds.dtype != np.float64 or preds.shape != (n,) or not preds.flags.writeable:
+        raise ValidationError(
+            f"preds_out must be a writable float64 vector of {n} rows, "
+            f"got {preds.dtype} {preds.shape}"
+        )
+    preds.fill(base)
     if loss_history is not None:
         loss_history.append(float(objective.loss(preds)))
 

@@ -398,23 +398,31 @@ def save_panel_csv(
     then the features.
 
     Floats are written with ``repr`` so a reload reproduces the dataset
-    field-for-field.
+    field-for-field.  ``rows`` (any iterable of row indices, in any order,
+    repeats allowed) is selected first; then each column is formatted once
+    and the rows are handed to ``csv.writer.writerows`` as ``zip`` of the
+    columns, with no per-row Python loop.
     """
-    totals = dict(zip(dataset.layout.weeks.tolist(), dataset.layout.totals.tolist()))
-    weeks = dataset.week_of_row.tolist()
-    actuals = dataset.actuals.tolist()
-    features = dataset.features.tolist()
-    indices = range(dataset.n) if rows is None else rows
+    idx = np.arange(dataset.n)
+    if rows is not None:
+        idx = idx[np.fromiter(rows, dtype=np.intp)]
+    layout = dataset.layout
+    hist = idx < dataset.m
+    # A historical row shows its sales, a future row its week's total: one
+    # float per row, formatted once and then split into the two columns.
+    value = np.concatenate([dataset.actuals, layout.expand(layout.totals)[dataset.m :]])
+    text = np.array(list(map(repr, value[idx].tolist())), dtype=object)
+    columns = [
+        map(dataset.product_ids.__getitem__, idx.tolist()),
+        map(str, dataset.week_of_row[idx].tolist()),
+        np.where(hist, text, "").tolist(),
+        np.where(hist, "", text).tolist(),
+        *(map(repr, col) for col in dataset.features[idx].T.tolist()),
+    ]
     with _open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow([*PANEL_COLUMNS, *dataset.feature_names])
-        for i in indices:
-            sales = repr(actuals[i]) if i < dataset.m else ""
-            total = "" if i < dataset.m else repr(totals[weeks[i]])
-            writer.writerow(
-                [dataset.product_ids[i], str(weeks[i]), sales, total]
-                + [repr(v) for v in features[i]]
-            )
+        writer.writerows(zip(*columns))
 
 
 def _read_csv(path: str | Path, required: Iterable[str]) -> Iterator:

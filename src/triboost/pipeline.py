@@ -165,10 +165,17 @@ def stage3_features(features: np.ndarray, stage2_preds: np.ndarray) -> np.ndarra
 
 def _fit_stage(X: np.ndarray, objective, config: TrainConfig, fit_rows: int) -> StageFit:
     """Fit ``objective`` on the first ``fit_rows`` rows of ``X``, recording
-    the loss curve, then predict every row of ``X``."""
+    the loss curve, and return predictions for every row of ``X``: ``fit``
+    leaves its own on the rows it trained on, so only the rest are
+    predicted."""
     losses: list[float] = []
-    model = fit(X[:fit_rows], objective, config, loss_history=losses)
-    return StageFit(preds=model.predict(X), model=model, loss_curve=tuple(losses))
+    preds = np.empty(X.shape[0], dtype=np.float64)
+    model = fit(
+        X[:fit_rows], objective, config, loss_history=losses, preds_out=preds[:fit_rows]
+    )
+    if fit_rows < X.shape[0]:
+        preds[fit_rows:] = model.predict(X[fit_rows:])
+    return StageFit(preds=preds, model=model, loss_curve=tuple(losses))
 
 
 def run_stage1(dataset: PanelDataset, config: TrainConfig) -> StageFit:

@@ -306,6 +306,38 @@ class TestDiagnose:
         assert report["manifest"]["command"] == "diagnose"
         assert report["bias"]["direction"] in ("over", "under", "mixed")
 
+    @pytest.mark.parametrize("setting", ["stage2.max_depth=1", "stage3.num_rounds=7"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_later_stage_keys_rejected(self, ws, tmp_path, capsys, setting, source):
+        # The report reads only stage 1's config: these keys changed nothing.
+        data = ws / "data"
+        out = tmp_path / "diag.json"
+        if source == "flag":
+            config = ["--set", setting]
+        else:
+            (tmp_path / "train.cfg").write_text(setting.replace("=", " = ") + "\n")
+            config = ["--config", str(tmp_path / "train.cfg")]
+        code, captured = run([
+            "diagnose", "--data", str(data / "train.csv"), str(data / "test.csv"),
+            "--models", str(ws / "models"), "--out", str(out), *TRN, *config,
+        ], capsys)
+        assert code == 3
+        key = setting.split("=")[0]
+        assert captured.err.startswith(f"validation: config key '{key}': ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_stage1_keys_accepted(self, ws, tmp_path):
+        data = ws / "data"
+        out = tmp_path / "diag.json"
+        assert main([
+            "diagnose", "--data", str(data / "train.csv"), str(data / "test.csv"),
+            "--models", str(ws / "models"), "--out", str(out),
+            "--set", "stage1.num_rounds=30", "--set", "max_depth=3",
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert report["manifest"]["config"]["num_rounds"] == 30
+
 
 class TestExitCodes:
     def test_no_command_is_usage(self, capsys):
@@ -334,6 +366,7 @@ class TestExitCodes:
     def test_unreadable_data_is_validation(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "m")]) == 3
+        assert not (tmp_path / "m").exists()  # no empty --out left behind
 
     def test_missing_future_total_is_constraint_data(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"

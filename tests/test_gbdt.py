@@ -265,6 +265,29 @@ class TestFit:
         with pytest.raises(ObjectiveError, match="pairs"):
             fit(np.zeros((3, 1)), Broken(), TrainConfig(num_rounds=1))
 
+    def test_preds_out_holds_predict_bitwise(self):
+        rng = np.random.default_rng(8)
+        X = np.round(rng.normal(size=(50, 3)), 1)
+        y = rng.normal(size=50)
+        buffer = np.full(60, np.nan)
+        cfg = TrainConfig(num_rounds=6, max_depth=3, learning_rate=0.3)
+        model = fit(X, mse_objective(y), cfg, preds_out=buffer[:50])
+        assert buffer[:50].view(np.int64).tolist() == model.predict(X).view(np.int64).tolist()
+        assert np.isnan(buffer[50:]).all()  # rows past the view are untouched
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros(4), np.zeros(5, dtype=np.float32), np.zeros((5, 1)),
+    ])
+    def test_preds_out_must_fit_the_rows(self, bad):
+        with pytest.raises(ValidationError, match="preds_out"):
+            fit(np.zeros((5, 1)), mse_objective(np.zeros(5)), TrainConfig(), preds_out=bad)
+
+    def test_read_only_preds_out_rejected(self):
+        buffer = np.zeros(5)
+        buffer.setflags(write=False)
+        with pytest.raises(ValidationError, match="writable"):
+            fit(np.zeros((5, 1)), mse_objective(np.zeros(5)), TrainConfig(), preds_out=buffer)
+
     @given(
         n=st.integers(min_value=2, max_value=8),
         k=st.integers(min_value=1, max_value=2),
@@ -341,6 +364,45 @@ class TestPredict:
             model.predict(np.zeros((3, 1)))
 
 
+def _json_dumps_bytes(model):
+    return (json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+
+
+# Floats json writes in every form: signed zero, subnormal, near-overflow,
+# the non-finite three, and numpy scalars (whose plain repr names the type).
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+_ANY_FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_MODEL_FLOAT = st.one_of(_ANY_FLOAT, _ANY_FLOAT.map(np.float64))
+
+
+@st.composite
+def _trees(draw, feature_count):
+    """A tree of random shape in ``fit``'s pre-order layout."""
+    nodes = []
+
+    def build(depth):
+        idx = len(nodes)
+        nodes.append(None)
+        if depth < 3 and draw(st.booleans()):
+            left = build(depth + 1)
+            right = build(depth + 1)
+            feature = draw(st.integers(0, max(feature_count - 1, 0)))
+            nodes[idx] = SplitNode(feature, draw(_MODEL_FLOAT), left, right)
+        else:
+            nodes[idx] = LeafNode(draw(_MODEL_FLOAT))
+        return idx
+
+    build(0)
+    return RegressionTree(tuple(nodes), max_depth_reached=draw(st.integers(0, 3)))
+
+
+@st.composite
+def _models(draw):
+    feature_count = draw(st.integers(0, 5))
+    trees = draw(st.lists(_trees(feature_count), max_size=3))
+    return GbdtModel(draw(_MODEL_FLOAT), draw(_MODEL_FLOAT), feature_count, tuple(trees))
+
+
 class TestPersistence:
     def _small_model(self):
         rng = np.random.default_rng(6)
@@ -363,6 +425,27 @@ class TestPersistence:
         save_model(model, a)
         save_model(model, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_save_writes_without_a_document(self, tmp_path):
+        model, _ = self._small_model()
+        with mock.patch.object(GbdtModel, "to_dict", side_effect=AssertionError), \
+                mock.patch("json.dumps", side_effect=AssertionError):
+            save_model(model, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_bytes() == _json_dumps_bytes(model)
+
+    def test_unwritable_path_names_it(self, tmp_path):
+        model, _ = self._small_model()
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "m.json"
+        with pytest.raises(PersistenceError, match=f"cannot write model to {target}"):
+            save_model(model, target)
+
+    @given(model=_models())
+    @settings(max_examples=80, deadline=None)
+    def test_save_equals_json_dumps(self, tmp_path_factory, model):
+        path = tmp_path_factory.mktemp("models") / "m.json"
+        save_model(model, path)
+        assert path.read_bytes() == _json_dumps_bytes(model)
 
     def test_dict_round_trip(self):
         model, _ = self._small_model()

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from triboost.errors import (
 from triboost.panel import (
     GroupLayout,
     PanelDataset,
+    PANEL_COLUMNS,
     PanelRecord,
     load_panel_csv,
     save_panel_csv,
@@ -283,6 +286,42 @@ class TestGroupLayout:
         assert np.allclose(sums, weekly * lay.counts, rtol=1e-12)
 
 
+def _save_panel_csv_by_row(dataset, path, rows=None):
+    """The per-row panel writer ``save_panel_csv`` replaced: the reference
+    its bytes are held to."""
+    totals = dict(zip(dataset.layout.weeks.tolist(), dataset.layout.totals.tolist()))
+    weeks = dataset.week_of_row.tolist()
+    actuals = dataset.actuals.tolist()
+    features = dataset.features.tolist()
+    indices = range(dataset.n) if rows is None else rows
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*PANEL_COLUMNS, *dataset.feature_names])
+        for i in indices:
+            sales = repr(actuals[i]) if i < dataset.m else ""
+            total = "" if i < dataset.m else repr(totals[weeks[i]])
+            writer.writerow(
+                [dataset.product_ids[i], str(weeks[i]), sales, total]
+                + [repr(v) for v in features[i]]
+            )
+
+
+def _awkward_panel():
+    """Two historical weeks and one future week of three products whose ids
+    need CSV quoting, with features at float extremes."""
+    ids = sorted(["a,b", 'a"b', "a\nb"])
+    features = [
+        [-0.0, 5e-324], [1.7e308, -1.7e308], [0.1, 1 / 3],
+        [2.5, -7.0], [1e-300, 123456789.125], [0.0, -2.0],
+        [0.3, 0.7], [9.0, 8.0], [1e16, -1e-16],
+    ]
+    return PanelDataset.from_columns(
+        ids * 3, [0, 0, 0, 1, 1, 1, 2, 2, 2], features,
+        [0.1, 0.2, 0.30000000000000004, 4.0, 5e-5, 6.0, None, None, None],
+        ["f_0", "f_1"], [None] * 6 + [10.7] * 3,
+    )
+
+
 class TestCsvIo:
     def test_round_trip_exact(self, tmp_path):
         ds = make_panel({0: [1.25, 2.5], 3: [0.1, 0.2]}, {4: (2, 10.7)})
@@ -303,6 +342,25 @@ class TestCsvIo:
         assert load_panel_csv([hist, fut]) == load_panel_csv(whole)
         # order of the file list must not matter: rows are re-sorted
         assert load_panel_csv([fut, hist]) == ds
+
+    @pytest.mark.parametrize("rows", [
+        None,
+        range(4, 8),  # across the historical/future boundary at row 6
+        [7, 0, 5, 6, 5, 1],  # unordered, with a repeated row
+        "generator",
+    ])
+    def test_bytes_equal_the_per_row_writer(self, tmp_path, rows):
+        ds = _awkward_panel()
+        if rows == "generator":
+            rows = (i for i in (8, 6, 2, 7))
+            expected_rows = [8, 6, 2, 7]
+        else:
+            expected_rows = rows if rows is None else list(rows)
+        save_panel_csv(ds, tmp_path / "columns.csv", rows=rows)
+        _save_panel_csv_by_row(ds, tmp_path / "rows.csv", rows=expected_rows)
+        got = (tmp_path / "columns.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert b'"a,b"' in got and b'"a""b"' in got and b'"a\nb"' in got
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

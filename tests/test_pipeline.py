@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from conftest import make_panel
+from triboost import pipeline
 from triboost.errors import DegenerateRatioError, ValidationError
-from triboost.gbdt import TrainConfig
+from triboost.gbdt import GbdtModel, TrainConfig
 from triboost.objectives import StageTargets, pred_ratio, stage3_target
 from triboost.pipeline import (
     PROBE_CONFIG,
@@ -228,3 +231,56 @@ class TestOnScenario:
     def test_probe_flatlines_on_week_feature(self, default_result):
         rep = default_result.diagnostics
         assert rep.trivial_probe_max_rel_gap < 0.01
+
+
+@pytest.fixture(scope="module")
+def recorded_run(default_dataset):
+    """``run_pipeline`` on the default scenario, diagnostics included, with
+    every ``fit``, stage fit and ``GbdtModel.predict`` call recorded."""
+    fits, stage_fits, predicts = [], [], []
+    real_fit, real_fit_stage, real_predict = (
+        pipeline.fit, pipeline._fit_stage, GbdtModel.predict,
+    )
+
+    def fit(X, *args, **kwargs):
+        model = real_fit(X, *args, **kwargs)
+        fits.append((model, np.array(X)))
+        return model
+
+    def fit_stage(X, *args):
+        result = real_fit_stage(X, *args)
+        stage_fits.append((X, result))
+        return result
+
+    def predict(model, X):
+        predicts.append((model, np.array(X)))
+        return real_predict(model, X)
+
+    with mock.patch.object(pipeline, "fit", fit), \
+            mock.patch.object(pipeline, "_fit_stage", fit_stage), \
+            mock.patch.object(GbdtModel, "predict", predict):
+        run_pipeline(default_dataset, PipelineConfig(stage1=FAST))
+    return fits, stage_fits, predicts
+
+
+class TestPredictionReuse:
+    """Stages keep the predictions ``fit`` made on their training rows."""
+
+    def test_stage_preds_equal_predict_bitwise(self, recorded_run):
+        _, stage_fits, _ = recorded_run
+        assert len(stage_fits) == 4  # stages 1-3, then the probe
+        for X, result in stage_fits:
+            expected = result.model.predict(X)
+            assert result.preds.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_no_trained_row_is_predicted(self, default_dataset, recorded_run):
+        fits, stage_fits, predicts = recorded_run
+        trained = {id(model): {row.tobytes() for row in X} for model, X in fits}
+        for model, X in predicts:
+            assert not any(row.tobytes() in trained[id(model)] for row in X)
+        # Only stage 1's future rows and the held-out refit's tail weeks.
+        staged = {id(result.model) for _, result in stage_fits}
+        [held_out_head] = [X for model, X in fits if id(model) not in staged]
+        ds = default_dataset
+        tail = ds.m - held_out_head.shape[0]
+        assert sum(len(X) for _, X in predicts) == (ds.n - ds.m) + tail
