@@ -20,7 +20,14 @@ Gradient/Hessian prefix sums are accumulated strictly left to right along
 each feature's stable order (``np.cumsum`` along a row, never pairwise),
 leaf sums left to right in ascending row order, and ties between candidate
 splits resolve to the lowest feature index then the lowest threshold.
-Everything runs on the calling thread.
+When a round's Hessian is one constant for every row, as it is for all the
+built-in losses, ``fit`` takes its left-to-right prefix sum once
+(``np.full(n, h).cumsum()``) and every node and leaf reads its Hessian sums
+from that vector: every order of equal values has the same prefix, so the
+bits are those of the per-feature sums.  A cut's midpoint must lie above
+its left value, which only adjacent floats can fail; the scan checks that
+at the winning cut alone and falls back to the next best, which picks what
+checking every cut would.  Everything runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -404,15 +411,6 @@ def leaf_weight(G: float, H: float, reg_lambda: float) -> float:
     return -G / denom
 
 
-def _seq_sum(values: np.ndarray) -> float:
-    """Strict left-to-right sum (unlike np.sum's pairwise blocking), so leaf
-    statistics are reproducible by any accumulator that walks rows in
-    ascending order."""
-    if values.shape[0] == 0:
-        return 0.0
-    return float(np.cumsum(values)[-1])
-
-
 # Most elements one pass of ``find_best_split`` gathers.  A node of c rows
 # scans max(1, SCAN_BUDGET // c) features per pass, so small nodes do every
 # feature in one pass and a large node does one feature at a time, with
@@ -421,6 +419,16 @@ def _seq_sum(values: np.ndarray) -> float:
 # 600- to 4,910-row nodes of the wide benchmark panel faster than 2**14 to
 # 2**17 did.
 SCAN_BUDGET = 1 << 12
+
+
+def _hess_terms(HL, H, config: TrainConfig):
+    """The gain's denominators HL+λ, HR+λ and H+λ for left Hessian sums
+    ``HL`` and total ``H``, and the mask of cuts whose children both meet
+    ``min_child_weight`` (None when every cut does: HL > 0, and H >= HL)."""
+    HR = H - HL
+    lam, min_child = config.reg_lambda, config.min_child_weight
+    heavy = (HL >= min_child) & (HR >= min_child) if min_child > 0.0 else None
+    return HL + lam, HR + lam, H + lam, heavy
 
 
 def find_best_split(
@@ -432,6 +440,7 @@ def find_best_split(
     *,
     block: np.ndarray | None = None,
     columns: np.ndarray | None = None,
+    hess_prefix: np.ndarray | None = None,
 ) -> SplitCandidate | None:
     """Exhaustive best split over all (feature, midpoint) candidates.
 
@@ -445,10 +454,22 @@ def find_best_split(
     gather, cumulative sum and gain evaluation.  Gradient/Hessian prefix
     sums run strictly left to right along each feature's order.
 
+    When every entry of ``hess`` is one value h, ``hess_prefix`` may be
+    ``np.full(n, h).cumsum()`` for any n >= c; ``fit`` passes it.  Every
+    order of equal values has that same left-to-right prefix, so a node
+    takes its Hessian sums from it once, not once per feature, with the
+    same bits: ``prefix[:c - 1]`` left of each cut, ``prefix[c - 1]`` in
+    all.  ``hess`` is then not read.
+
     Returns the maximum-gain candidate whose gain exceeds ``min_gain`` and
     whose children both meet ``min_child_weight``; ties go to the lowest
-    feature index, then the lowest threshold.  Returns None when no
-    candidate qualifies — a valid outcome, not an error.
+    feature index, then the lowest threshold.  A cut lies between two
+    distinct values, at their midpoint, and the midpoint must lie above
+    the left value, which fails only for adjacent floats.  That last rule
+    is checked at the winner alone: a winner that fails it is dropped and
+    the next best taken, so the result is the same as checking every
+    candidate.  Returns None when no candidate qualifies — a valid
+    outcome, not an error.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.shape[0] == 0:
@@ -462,46 +483,51 @@ def find_best_split(
     num_features, c = block.shape
     if c < 2:
         return None
-    lam = config.reg_lambda
-    min_child = config.min_child_weight
     values = columns.ravel()  # column f starts at values[starts[f]]
     starts = np.arange(num_features)[:, None] * columns.shape[1]
     per_pass = max(1, SCAN_BUDGET // c)
+    if hess_prefix is not None:  # one node's Hessian sums serve every feature
+        terms = _hess_terms(hess_prefix[: c - 1], hess_prefix[c - 1], config)
 
     best: SplitCandidate | None = None
     for f0 in range(0, num_features, per_pass):  # ascending f: ties keep lowest
         idx = block[f0 : f0 + per_pass].astype(np.intp)  # faster gathers
         x = values[idx + starts[f0 : f0 + per_pass]]
         gs = grad[idx].cumsum(axis=1)
-        hs = hess[idx].cumsum(axis=1)
-        G, H = gs[:, -1:], hs[:, -1:]
-        GL, HL = gs[:, :-1], hs[:, :-1]
-        GR, HR = G - GL, H - HL
+        G, GL = gs[:, -1:], gs[:, :-1]
+        GR = G - GL
+        if hess_prefix is None:
+            hs = hess[idx].cumsum(axis=1)
+            terms = _hess_terms(hs[:, :-1], hs[:, -1:], config)
+        HL_lam, HR_lam, H_lam, heavy = terms
         # 0.5 * (GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ)): the same operations
         # in the same order, with fewer temporaries.
         gains = GL * GL
-        gains /= HL + lam
+        gains /= HL_lam
         right = GR * GR
-        right /= HR + lam
+        right /= HR_lam
         gains += right
-        gains -= G * G / (H + lam)
+        gains -= G * G / H_lam
         gains *= 0.5
-        lo, hi = x[:, :-1], x[:, 1:]
-        thresholds = 0.5 * (lo + hi)
-        # Cut only between distinct values, and never where the midpoint
-        # rounds down onto the left value (only possible for adjacent
-        # floats): such a threshold would not reproduce the scored
-        # partition under the `<` routing rule.
-        valid = (lo < hi) & (thresholds > lo)
-        if min_child > 0.0:  # else every cut qualifies: HL > 0, and H >= HL
-            valid &= (HL >= min_child) & (HR >= min_child)
+        valid = x[:, :-1] < x[:, 1:]  # cut only between distinct values
+        if heavy is not None:
+            valid &= heavy
         gains = np.where(valid, gains, -np.inf)
-        f, i = divmod(int(gains.argmax()), c - 1)  # first max: lowest f, then threshold
-        gain = float(gains[f, i])
-        if gain > (config.min_gain if best is None else best.gain):
-            best = SplitCandidate(
-                feature=f0 + f, threshold=float(thresholds[f, i]), gain=gain
-            )
+        bar = config.min_gain if best is None else best.gain
+        while True:
+            f, i = divmod(int(gains.argmax()), c - 1)  # first max: lowest f, then threshold
+            gain = float(gains[f, i])
+            if gain <= bar:  # argmax puts a NaN first, so nothing left beats the bar
+                break
+            # A midpoint that rounds down onto the left value (adjacent
+            # floats) would not reproduce the scored partition under the
+            # `<` routing rule: drop that cut and take the next best.
+            threshold = float(0.5 * (x[f, i] + x[f, i + 1]))
+            if threshold > x[f, i]:
+                if gain > bar:  # false for a NaN gain
+                    best = SplitCandidate(feature=f0 + f, threshold=threshold, gain=gain)
+                break
+            gains[f, i] = -np.inf
     return best
 
 
@@ -512,6 +538,7 @@ def _grow_tree(
     grad: np.ndarray,
     hess: np.ndarray,
     config: TrainConfig,
+    hess_prefix: np.ndarray | None = None,
 ) -> tuple[RegressionTree, list[tuple[np.ndarray, float]]]:
     """Grow one tree on fixed grad/hess; returns it plus (rows, weight) per
     leaf so the caller can update predictions without re-routing.
@@ -519,7 +546,9 @@ def _grow_tree(
     ``presort`` is the root's column block (see :func:`find_best_split`).
     Each child's block is a stable partition of its parent's, so a node
     costs O(c·k) for its own c rows, and its rows stay in ascending order
-    for the leaf sums."""
+    for the leaf sums, which run left to right.  ``hess_prefix`` (see
+    :func:`find_best_split`) is given when ``hess`` is constant; it gives
+    the split search and the leaves their Hessian sums."""
     nodes: list[SplitNode | LeafNode | None] = []
     leaves: list[tuple[np.ndarray, float]] = []
     deepest = 0
@@ -531,12 +560,18 @@ def _grow_tree(
         split = None
         if depth < config.max_depth and rows.shape[0] >= 2:
             split = find_best_split(
-                rows, grad, hess, X, config, block=block, columns=columns
+                rows, grad, hess, X, config, block=block, columns=columns,
+                hess_prefix=hess_prefix,
             )
         idx = len(nodes)
         if split is None:
-            G = _seq_sum(grad[rows])
-            H = _seq_sum(hess[rows])
+            # The last of a left-to-right prefix sum; sum() would not keep
+            # that order (it compensates from Python 3.12 on).
+            G = float(grad[rows].cumsum()[-1])
+            if hess_prefix is None:
+                H = float(hess[rows].cumsum()[-1])
+            else:
+                H = float(hess_prefix[rows.shape[0] - 1])
             w = leaf_weight(G, H, config.reg_lambda)
             nodes.append(LeafNode(weight=w))
             leaves.append((rows, w))
@@ -600,8 +635,11 @@ def fit(
 
     The feature matrix is transposed once per fit into contiguous (k, n)
     columns and argsorted into a (k, n) int32 column block, which every
-    tree partitions node by node (see :func:`_grow_tree`).  Training runs
-    on the calling thread.
+    tree partitions node by node (see :func:`_grow_tree`).  After each
+    ``grad_hess``, one pass over the rows tests whether every Hessian equals
+    the first; if so, the round's trees take their Hessian sums from one
+    prefix vector, built again only when that constant changes (see
+    :func:`find_best_split`).  Training runs on the calling thread.
     """
     X = np.ascontiguousarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -623,13 +661,21 @@ def fit(
         loss_history.append(float(objective.loss(preds)))
 
     trees: list[RegressionTree] = []
+    hess_prefix = None  # of the last constant Hessian, rebuilt when it changes
     for _ in range(config.num_rounds):
         gh = objective.grad_hess(preds)
         if len(gh) != n:
             raise ObjectiveError(
                 f"objective returned {len(gh)} grad/hess pairs for {n} rows"
             )
-        tree, leaves = _grow_tree(X, columns, presort, gh.grad, gh.hess, config)
+        h = gh.hess[0]
+        constant = bool((gh.hess == h).all())
+        if constant and (hess_prefix is None or hess_prefix[0] != h):
+            hess_prefix = np.full(n, h).cumsum()
+        tree, leaves = _grow_tree(
+            X, columns, presort, gh.grad, gh.hess, config,
+            hess_prefix if constant else None,
+        )
         for rows, w in leaves:
             preds[rows] += config.learning_rate * w
         trees.append(tree)

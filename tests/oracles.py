@@ -109,6 +109,25 @@ def brute_force_fit_squared_error(X, y, config: TrainConfig):
     return base, trees, preds
 
 
+def brute_force_fit(X, objective, config: TrainConfig):
+    """Boost ``config.num_rounds`` trees against any objective, calling its
+    ``grad_hess`` once per round at the running predictions.
+
+    Returns (base_score, list of nested-dict trees, final per-row preds).
+    """
+    n = X.shape[0]
+    base = float(objective.base_score())
+    preds = [base] * n
+    trees = []
+    for _ in range(config.num_rounds):
+        gh = objective.grad_hess(np.array(preds))
+        tree = brute_force_tree(list(range(n)), gh.grad, gh.hess, X, config)
+        trees.append(tree)
+        for i in range(n):
+            preds[i] += config.learning_rate * _eval_dict_tree(tree, X[i])
+    return base, trees, preds
+
+
 def _eval_dict_tree(tree, x) -> float:
     while "leaf" not in tree:
         tree = tree["left"] if x[tree["feature"]] < tree["threshold"] else tree["right"]

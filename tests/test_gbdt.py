@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     assert_same_model,
+    brute_force_fit,
     brute_force_fit_squared_error,
     brute_force_split,
 )
@@ -37,6 +38,35 @@ from triboost.objectives import Stage1Objective, StageTargets
 
 def mse_objective(y):
     return Stage1Objective(StageTargets(values=np.asarray(y, float)))
+
+
+# Feature values with ties and adjacent floats: the midpoint of 1.0 and the
+# next float up rounds down onto 1.0, so no cut may fall between them.
+ONE_UP = np.nextafter(1.0, 2.0)
+TIGHT_VALUES = np.array([-0.5, 1.0, ONE_UP, np.nextafter(ONE_UP, 2.0), 1.5, 2.0])
+
+
+class ScheduledHessObjective:
+    """Squared error whose Hessian follows a per-round schedule: a float is
+    one constant for every row, an array is per-row values."""
+
+    def __init__(self, y, schedule):
+        self.y = np.asarray(y, dtype=np.float64)
+        self.schedule = schedule
+        self.calls = 0
+
+    def base_score(self):
+        return float(np.mean(self.y))
+
+    def loss(self, preds):
+        return float(np.mean((self.y - preds) ** 2))
+
+    def grad_hess(self, preds):
+        n = self.y.shape[0]
+        h = self.schedule[self.calls % len(self.schedule)]
+        self.calls += 1
+        hess = np.full(n, h) if np.isscalar(h) else np.array(h, dtype=np.float64)
+        return GradHess(-2.0 * (self.y - preds) / n, hess)
 
 
 class TestTrainConfig:
@@ -189,6 +219,68 @@ class TestFindBestSplit:
                     assert got is not None
                     assert (got.feature, got.threshold, got.gain) == want
 
+    @given(
+        n=st.integers(min_value=2, max_value=14),
+        k=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        h=st.sampled_from([2.0 / 7.0, 0.5, 1.0 / 3.0, 1.0]),
+        lam=st.sampled_from([0.0, 1e-3, 2.0]),
+        min_child=st.sampled_from([0.0, 0.6, 1.0, 2.5]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_constant_hess_prefix_matches_general_path(self, n, k, seed, h, lam, min_child):
+        rng = np.random.default_rng(seed)
+        # Ties, and adjacent floats whose midpoint may not be a threshold.
+        X = np.where(rng.random(size=(n, k)) < 0.5,
+                     rng.choice(TIGHT_VALUES, size=(n, k)),
+                     np.round(rng.normal(size=(n, k)), 1))
+        grad = rng.normal(size=n)
+        hess = np.full(n, h)
+        prefix = hess.cumsum()
+        cfg = TrainConfig(reg_lambda=lam, min_child_weight=min_child)
+        subset = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+        for rows in (np.arange(n), subset):
+            want = brute_force_split(sorted(set(rows.tolist())), grad, hess, X, cfg)
+            for budget in (1, 12, gbdt.SCAN_BUDGET):
+                with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
+                    general = find_best_split(rows, grad, hess, X, cfg)
+                    constant = find_best_split(rows, grad, hess, X, cfg,
+                                               hess_prefix=prefix)
+                assert general == constant
+                if want is None:
+                    assert constant is None
+                else:
+                    assert (constant.feature, constant.threshold, constant.gain) == want
+
+    @pytest.mark.parametrize("budget", [1, gbdt.SCAN_BUDGET])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_adjacent_float_cut_is_skipped(self, budget, constant):
+        # Feature 0's best cut, between 1.0 and the next float up, scores
+        # highest (it separates the negative from the positive gradients),
+        # but its midpoint rounds down to 1.0 and would send both values
+        # left.  The scan must take the next best: feature 1 at 1.5.
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 3.0],
+                      [ONE_UP, 2.0], [ONE_UP, 4.0], [3.0, 5.0]])
+        assert 0.5 * (1.0 + ONE_UP) == 1.0
+        grad = np.array([-1.0, -2.0, -2.0, 2.0, 2.0, 1.0])
+        hess = np.ones(6)
+        cfg = TrainConfig(reg_lambda=0.0)
+        prefix = hess.cumsum() if constant else None
+        spread = X.copy()
+        spread[3:5, 0] = 2.0  # the same order with room for a midpoint
+        with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
+            got = find_best_split(np.arange(6), grad, hess, X, cfg, hess_prefix=prefix)
+            top = find_best_split(np.arange(6), grad, hess, spread, cfg, hess_prefix=prefix)
+        assert (top.feature, top.threshold) == (0, 1.5)
+        assert (got.feature, got.threshold, got.gain) == (1, 1.5, 3.375)
+        assert got.gain < top.gain
+        assert (got.feature, got.threshold, got.gain) == brute_force_split(
+            range(6), grad, hess, X, cfg)
+        # With no other cut, the node does not split at all.
+        pair = np.array([[1.0], [ONE_UP]])
+        assert find_best_split(np.arange(2), grad[2:4], hess[:2], pair, cfg,
+                               hess_prefix=prefix) is None
+
 
 class TestFit:
     def test_two_level_exact(self):
@@ -306,6 +398,37 @@ class TestFit:
                 model = fit(X, mse_objective(y), cfg)
             assert_same_model(model, base, trees)
             assert model.predict(X).tolist() == preds
+
+    @pytest.mark.parametrize("schedule", [
+        [0.5, 0.5, 2.0, 0.5],  # a constant that changes and comes back
+        [0.5, "rows", 0.5, 1.0 / 3.0],  # per-row values between constants
+        ["rows"],  # never constant
+        ["first"],  # all equal but the first row
+        ["last"],  # all equal but the last row
+    ])
+    @pytest.mark.parametrize("reg_lambda, min_child", [(0.0, 0.0), (0.5, 0.3)])
+    def test_hess_schedule_matches_general_path(self, schedule, reg_lambda, min_child):
+        rng = np.random.default_rng(5)
+        n = 24
+        X = np.where(rng.random(size=(n, 2)) < 0.3, rng.choice(TIGHT_VALUES, size=(n, 2)),
+                     np.round(rng.normal(size=(n, 2)), 1))
+        y = X @ np.array([1.0, -2.0]) + rng.normal(size=n)
+        per_row = {"rows": rng.uniform(0.2, 1.0, size=n),
+                   "first": np.r_[0.75, np.full(n - 1, 0.5)],
+                   "last": np.r_[np.full(n - 1, 0.5), 0.75]}
+        schedule = [per_row[h] if isinstance(h, str) else h for h in schedule]
+        cfg = TrainConfig(num_rounds=6, max_depth=3, learning_rate=0.5,
+                          reg_lambda=reg_lambda, min_child_weight=min_child)
+        model = fit(X, ScheduledHessObjective(y, schedule), cfg)
+        # The engine's general path: _grow_tree without a Hessian prefix.
+        grow = gbdt._grow_tree
+        with mock.patch.object(gbdt, "_grow_tree",
+                               lambda *args: grow(*args[:6])):
+            general = fit(X, ScheduledHessObjective(y, schedule), cfg)
+        assert model == general
+        base, trees, preds = brute_force_fit(X, ScheduledHessObjective(y, schedule), cfg)
+        assert_same_model(model, base, trees)
+        assert model.predict(X).tolist() == preds
 
     @pytest.mark.parametrize("budget", [1, 150, gbdt.SCAN_BUDGET])
     def test_deep_trees_match_brute_force(self, budget):
