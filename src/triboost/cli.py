@@ -1,9 +1,9 @@
 """Batch command line: generate, train, predict, evaluate, diagnose.
 
-Every command echoes its effective configuration into a manifest so a run
-can be reproduced from its outputs alone.  Errors print one
-``category: message`` line on stderr and map to distinct exit codes:
-0 success, 2 usage, 3 validation, 4 constraint-data, 5 persistence.
+Every command echoes its effective configuration into a manifest, so a run
+can be reproduced from its outputs alone; ``diagnose`` refits with ``train``'s.
+Errors print one ``category: message`` line on stderr and map to distinct
+exit codes: 0 success, 2 usage, 3 validation, 4 constraint-data, 5 persistence.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .metrics import category_adherence, product_metrics
 from .panel import (
     GroupLayout, _open_output, _parse_float, _parse_int, _read_csv, _writing, load_panel_csv,
 )
-from .pipeline import STAGES, diagnose, predict_stages, run_pipeline
+from .pipeline import STAGES, PipelineConfig, diagnose, predict_stages, run_pipeline
 from .scenario import generate, write_scenario
 
 MODEL_FILES = {stage: f"model_{stage}.json" for stage in STAGES}
@@ -47,7 +47,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="synthesize a scenario into CSV files")
     p.add_argument("--config", help="scenario key-value config file")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override one scenario config key (repeatable)")
     p.add_argument("--out", required=True, help="output directory")
@@ -77,12 +76,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("diagnose", help="failure-mode report for saved models")
     _add_data_args(p)
-    p.add_argument("--models", required=True, help="directory holding the three model files")
-    p.add_argument("--config", help="training key-value config file (for the refit probe)")
-    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                   help="override one training config key (repeatable)")
+    p.add_argument("--models", required=True, help="train's --out: three models and a manifest")
     p.add_argument("--out", required=True, help="report JSON path")
-    _add_threads_arg(p)
     p.set_defaults(func=_cmd_diagnose)
 
     return parser
@@ -143,10 +138,7 @@ def _write_json(path: str | Path, payload: dict) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    mapping = _mapping_from(args)
-    if args.seed is not None:
-        mapping["seed"] = str(args.seed)
-    config = cfgmod.scenario_config_from_mapping(mapping)
+    config = cfgmod.scenario_config_from_mapping(_mapping_from(args))
     dataset, truth = generate(config)
     out = Path(args.out)
     paths = write_scenario(dataset, truth, out)
@@ -248,15 +240,20 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trained_config(models_dir: str) -> PipelineConfig:
+    """Stage 1's config as ``train`` echoed it into the models' manifest,
+    parsed and checked as ``train --config`` parses a file."""
+    path = Path(models_dir) / "manifest.json"
+    try:
+        stage1 = json.loads(path.read_text(encoding="utf-8"))["config"]["stage1"]
+        return cfgmod.pipeline_config_from_mapping({k: str(v) for k, v in stage1.items()})
+    except (OSError, RecursionError, ValueError, LookupError, TypeError, AttributeError,
+            ValidationError) as exc:  # ValueError covers undecodable and invalid JSON
+        raise PersistenceError(f"{path}: no stage-1 config: {type(exc).__name__}: {exc}") from exc
+
+
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    mapping = _mapping_from(args)
-    for key in mapping:
-        stage = key.partition(".")[0]
-        if stage in STAGES[1:]:  # the report reads only stage 1's config
-            raise ValidationError(
-                f"config key {key!r}: diagnose refits stage 1 only; {stage} keys change nothing"
-            )
-    config = cfgmod.pipeline_config_from_mapping(mapping)
+    config = _trained_config(args.models)
     dataset = load_panel_csv(args.data)
     outputs = predict_stages(dataset, _load_models(args.models))
     report = diagnose(dataset, outputs, config)

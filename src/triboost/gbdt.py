@@ -228,12 +228,12 @@ class GbdtModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "GbdtModel":
         try:
-            version = doc["version"]
+            version = _json_int(doc, "version")
             if version != MODEL_FORMAT_VERSION:
                 raise PersistenceError(f"unknown model version {version!r}")
-            base_score = float(doc["base_score"])
-            learning_rate = float(doc["learning_rate"])
-            feature_count = int(doc["feature_count"])
+            base_score = _json_number(doc, "base_score")
+            learning_rate = _json_number(doc, "learning_rate")
+            feature_count = _json_int(doc, "feature_count")
             if not (math.isfinite(base_score) and math.isfinite(learning_rate)):
                 raise PersistenceError("non-finite base_score or learning_rate")
             if feature_count < 0:
@@ -245,7 +245,7 @@ class GbdtModel:
                 trees.append(
                     RegressionTree(
                         nodes=tuple(nodes),
-                        max_depth_reached=int(tdoc["max_depth_reached"]),
+                        max_depth_reached=_json_int(tdoc, "max_depth_reached"),
                     )
                 )
             return cls(
@@ -273,15 +273,32 @@ def _node_to_dict(node: SplitNode | LeafNode) -> dict:
 def _node_from_dict(doc: dict) -> SplitNode | LeafNode:
     kind = doc["kind"]
     if kind == "leaf":
-        return LeafNode(weight=float(doc["weight"]))
+        return LeafNode(weight=_json_number(doc, "weight"))
     if kind == "split":
         return SplitNode(
-            feature=int(doc["feature"]),
-            threshold=float(doc["threshold"]),
-            left=int(doc["left"]),
-            right=int(doc["right"]),
+            feature=_json_int(doc, "feature"),
+            threshold=_json_number(doc, "threshold"),
+            left=_json_int(doc, "left"),
+            right=_json_int(doc, "right"),
         )
     raise PersistenceError(f"unknown node kind {kind!r}")
+
+
+def _json_int(doc: dict, key: str) -> int:
+    """``doc[key]`` if it is a JSON integer: a float, a string or a ``bool``
+    (``json`` reads ``true`` as one) is malformed, not coerced by ``int()``."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_number(doc: dict, key: str) -> float:
+    """``doc[key]`` as a float if it is a JSON number: not a string or a ``bool``."""
+    value = doc[key]
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _check_tree_shape(nodes: list[SplitNode | LeafNode], feature_count: int) -> None:

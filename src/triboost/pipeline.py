@@ -17,6 +17,8 @@ signal.
 :data:`STAGES` names the passes; ``run_stage1/2/3`` each return a
 :class:`StageFit`.  :func:`predict_stages` turns three trained models into
 :class:`StageOutputs`, as :func:`run_pipeline` does with the ones it fits.
+Every ensemble here, the held-out refit and the probe included, is fitted
+by ``_fit_stage``.
 """
 
 from __future__ import annotations
@@ -268,7 +270,9 @@ def trivial_solution_probe(dataset: PanelDataset) -> ProbeResult:
     With nothing to distinguish same-week rows, the minimizer is the
     per-week constant total/count; the reported gap says how close training
     got.  A small gap on real features too would mean the constraint term
-    is drowning out the fit term.
+    is drowning out the fit term.  The relative gap is taken over the weeks
+    whose target is non-zero (0.0 if none is); a zero-target week still
+    counts in the absolute gap.
     """
     layout = dataset.layout
     week_col = dataset.week_of_row.astype(np.float64)[:, None]
@@ -276,11 +280,13 @@ def trivial_solution_probe(dataset: PanelDataset) -> ProbeResult:
     weekly = layout.weekly_sums(probe.preds) / layout.counts
     targets = layout.totals / layout.counts
     gap = np.abs(weekly - targets)
+    nonzero = targets != 0
+    rel_gap = gap[nonzero] / np.abs(targets[nonzero])
     return ProbeResult(
         weekly_preds=weekly,
         weekly_targets=targets,
         max_abs_gap=float(np.max(gap)),
-        max_rel_gap=float(np.max(gap / np.abs(targets))),
+        max_rel_gap=float(np.max(rel_gap, initial=0.0)),
         loss_curve=probe.loss_curve,
     )
 
@@ -332,8 +338,8 @@ def diagnose(
     # ratio grows with stage-1 bias: inflated pseudo-labels pump mass into
     # both future-row terms while the historical constraint residual stays a
     # fixed fit-capacity floor.
-    pseudo = pseudo_label_targets(dataset, outputs.stage1).values
-    fit_err = pseudo[dataset.m :] - outputs.stage2[dataset.m :]
+    # The future rows' pseudo-labels are the stage-1 predictions verbatim.
+    fit_err = outputs.stage1[dataset.m :] - outputs.stage2[dataset.m :]
     fit_term = float(np.sum(fit_err * fit_err) / n)
     R = layout.residuals(outputs.stage2)
     constraint_term = float(np.sum(R * R) / n)
@@ -368,11 +374,9 @@ def _held_out_bias(
     if len(hist_weeks) < 2:
         return "mixed", 0.0
     tail_count = max(1, round(0.2 * len(hist_weeks)))
-    # Rows are sorted by week, so the tail weeks' rows end the historical prefix.
-    in_tail = dataset.week_of_row[: dataset.m] >= hist_weeks[-tail_count]
-
-    head_X = dataset.features[: dataset.m][~in_tail]
-    head_y = dataset.actuals[~in_tail]
-    model = fit(head_X, Stage1Objective(StageTargets(head_y)), config.resolved()[0])
-    tail_pred = model.predict(dataset.features[: dataset.m][in_tail])
-    return bias_tally(tail_pred - dataset.actuals[in_tail])
+    # Each week is one slice of rows, so the tail weeks' rows end the
+    # historical block, and the head is the rows before the first of them.
+    head = int(layout.starts[len(hist_weeks) - tail_count])
+    objective = Stage1Objective(StageTargets(dataset.actuals[:head]))
+    refit = _fit_stage(dataset.features[: dataset.m], objective, config.stage1, head)
+    return bias_tally(refit.preds[head:] - dataset.actuals[head:])

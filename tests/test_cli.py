@@ -1,5 +1,8 @@
+import csv
 import hashlib
 import json
+import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -65,11 +68,20 @@ class TestGenerate:
 
     def test_seed_flag_overrides(self, ws, tmp_path):
         out = tmp_path / "s"
-        assert main(["generate", "--out", str(out), "--seed", "99", *SCN]) == 0
+        assert main(["generate", "--out", str(out), "--set", "seed=99", *SCN]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 99
         base = (ws / "data" / "train.csv").read_bytes()
         assert (out / "train.csv").read_bytes() != base
+
+    def test_seed_flag_is_usage(self, tmp_path, capsys):
+        # `--set seed=N` is the one way to set the seed.
+        out = tmp_path / "s"
+        code, captured = run(["generate", "--out", str(out), "--seed", "9", *SCN], capsys)
+        assert code == 2
+        assert captured.err.startswith("usage: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestTrain:
@@ -291,14 +303,16 @@ class TestEvaluate:
 
 
 class TestDiagnose:
-    def test_report_written(self, ws, tmp_path):
+    def _diagnose(self, ws, models, out, capsys=None, extra=()):
         data = ws / "data"
-        out = tmp_path / "diag.json"
-        assert main([
+        return run([
             "diagnose", "--data", str(data / "train.csv"), str(data / "test.csv"),
-            "--models", str(ws / "models"), "--out", str(out),
-            "--threads", "1", *TRN,
-        ]) == 0
+            "--models", str(models), "--out", str(out), *extra,
+        ], capsys)
+
+    def test_report_written(self, ws, tmp_path):
+        out = tmp_path / "diag.json"
+        assert self._diagnose(ws, ws / "models", out) == 0
         report = json.loads(out.read_text())
         assert set(report) >= {
             "stage1_weekly_deviation", "bias", "stage2_terms", "trivial_probe",
@@ -306,37 +320,96 @@ class TestDiagnose:
         assert report["manifest"]["command"] == "diagnose"
         assert report["bias"]["direction"] in ("over", "under", "mixed")
 
-    @pytest.mark.parametrize("setting", ["stage2.max_depth=1", "stage3.num_rounds=7"])
-    @pytest.mark.parametrize("source", ["flag", "file"])
-    def test_later_stage_keys_rejected(self, ws, tmp_path, capsys, setting, source):
-        # The report reads only stage 1's config: these keys changed nothing.
-        data = ws / "data"
+    def test_stage1_keys_accepted(self, ws, tmp_path):
+        # The refit runs with the config the models were trained with.
         out = tmp_path / "diag.json"
-        if source == "flag":
-            config = ["--set", setting]
-        else:
-            (tmp_path / "train.cfg").write_text(setting.replace("=", " = ") + "\n")
-            config = ["--config", str(tmp_path / "train.cfg")]
-        code, captured = run([
-            "diagnose", "--data", str(data / "train.csv"), str(data / "test.csv"),
-            "--models", str(ws / "models"), "--out", str(out), *TRN, *config,
-        ], capsys)
-        assert code == 3
-        key = setting.split("=")[0]
-        assert captured.err.startswith(f"validation: config key '{key}': ")
+        assert self._diagnose(ws, ws / "models", out) == 0
+        report = json.loads(out.read_text())
+        assert report["manifest"]["config"]["num_rounds"] == 30
+        assert report["manifest"]["config"]["max_depth"] == 3
+
+    def test_report_agrees_with_train_manifest(self, ws, tmp_path):
+        # diagnose used to refit stage 1 with its own defaults, and on these
+        # models said "over" where train's manifest said "under".
+        data, models = tmp_path / "data", tmp_path / "m30"
+        assert main(["generate", "--out", str(data)]) == 0
+        data_args = ["--data", str(data / "train.csv"), str(data / "test.csv")]
+        assert main(["train", *data_args, "--out", str(models),
+                     "--set", "num_rounds=30"]) == 0
+        out = tmp_path / "diag.json"
+        assert main(["diagnose", *data_args, "--models", str(models),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((models / "manifest.json").read_text())
+        report = json.loads(out.read_text())
+        echo = report.pop("manifest")
+        assert report == manifest["diagnostics"]
+        assert echo["config"] == manifest["config"]["stage1"]
+
+    def test_zero_future_total_keeps_strict_json(self, tmp_path, capsys):
+        # A future week may total 0.  The probe's relative gap divided by it:
+        # a RuntimeWarning on stderr and "max_rel_gap": Infinity in the files.
+        data, models, out = tmp_path / "data", tmp_path / "models", tmp_path / "d.json"
+        assert main(["generate", "--out", str(data)]) == 0
+        test_csv = data / "test.csv"
+        with test_csv.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        week, total = rows[0].index("week"), rows[0].index("category_total")
+        week80 = [row for row in rows[1:] if row[week] == "80"]
+        assert week80
+        for row in week80:
+            row[total] = "0.0"
+        with test_csv.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        data_args = ["--data", str(data / "train.csv"), str(test_csv)]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", *data_args, "--out", str(models), *TRN]) == 0
+            assert main(["diagnose", *data_args, "--models", str(models),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        for path in (models / "manifest.json", out):
+            json.loads(path.read_text(), parse_constant=reject)
+
+    def test_help_lists_three_flags(self, capsys):
+        assert main(["diagnose", "--help"]) == 0
+        flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        assert flags == {"--help", "--data", "--models", "--out"}
+
+    @pytest.mark.parametrize("flag", [
+        ["--config", "train.cfg"], ["--set", "num_rounds=3"], ["--threads", "1"],
+    ], ids=["config", "set", "threads"])
+    def test_removed_flag_is_usage(self, ws, tmp_path, capsys, flag):
+        out = tmp_path / "diag.json"
+        code, captured = self._diagnose(ws, ws / "models", out, capsys, flag)
+        assert code == 2
+        assert captured.err.startswith("usage: ")
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
-    def test_stage1_keys_accepted(self, ws, tmp_path):
-        data = ws / "data"
+    @pytest.mark.parametrize("manifest", [
+        None,
+        "{not json",
+        json.dumps({"command": "train", "config": {}}),
+        json.dumps({"config": {"stage1": {"num_rounds": True}}}),
+    ], ids=["missing", "invalid-json", "no-stage1", "bool-num-rounds"])
+    def test_unusable_manifest_is_persistence(self, ws, tmp_path, capsys, manifest):
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("model_stage1.json", "model_stage2.json", "model_stage3.json"):
+            (models / name).write_bytes((ws / "models" / name).read_bytes())
+        if manifest is not None:
+            (models / "manifest.json").write_text(manifest)
         out = tmp_path / "diag.json"
-        assert main([
-            "diagnose", "--data", str(data / "train.csv"), str(data / "test.csv"),
-            "--models", str(ws / "models"), "--out", str(out),
-            "--set", "stage1.num_rounds=30", "--set", "max_depth=3",
-        ]) == 0
-        report = json.loads(out.read_text())
-        assert report["manifest"]["config"]["num_rounds"] == 30
+        code, captured = self._diagnose(ws, models, out, capsys)
+        assert code == 5
+        assert captured.err.startswith(f"persistence: {models / 'manifest.json'}: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -411,7 +484,10 @@ class TestExitCodes:
             argv += ["--models", str(tmp_path)]
         code, captured = run(argv, capsys)
         assert code == 2
-        assert captured.err.startswith("usage: argument --threads: ")
+        if command == "diagnose":  # its config comes from train's manifest
+            assert captured.err.startswith("usage: unrecognized arguments: --threads ")
+        else:
+            assert captured.err.startswith("usage: argument --threads: ")
         assert captured.err.count("\n") == 1
 
     def test_out_of_range_feature_is_persistence(self, ws, tmp_path, capsys):
@@ -581,7 +657,7 @@ class TestExitCodes:
             "predict": [*data, "--models", str(ws / "models")],
             "evaluate": ["--pred", str(ws / "preds.csv"),
                          "--truth", str(ws / "data" / "truth.csv")],
-            "diagnose": [*data, "--models", str(ws / "models"), *TRN],
+            "diagnose": [*data, "--models", str(ws / "models")],
         }[command]
         code, captured = run([command, *argv, "--out", str(blocker / "out")], capsys)
         assert code == 5

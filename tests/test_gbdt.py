@@ -703,6 +703,38 @@ class TestModelShapeChecks:
         with pytest.raises(PersistenceError, match="non-finite"):
             GbdtModel.from_dict(_one_tree_doc([LEAF], **{key: bad}))
 
+    # Each of these loaded before, coerced by int() or float(): a feature of
+    # 0.9 or true routed its split on feature 0 or 1.
+    @pytest.mark.parametrize("where, key, bad", [
+        ("model", "version", True),
+        ("model", "version", 1.0),
+        ("model", "feature_count", 2.9),
+        ("model", "feature_count", "2"),
+        ("model", "base_score", "12.5"),
+        ("model", "base_score", True),
+        ("model", "learning_rate", "1"),
+        ("model", "learning_rate", True),
+        ("tree", "max_depth_reached", 2.5),
+        ("tree", "max_depth_reached", "2"),
+        ("split", "feature", 0.9),
+        ("split", "feature", True),
+        ("split", "feature", "1"),
+        ("split", "left", 1.0),
+        ("split", "right", "2"),
+        ("split", "threshold", "0.5"),
+        ("split", "threshold", False),
+        ("leaf", "weight", "0.5"),
+        ("leaf", "weight", True),
+    ])
+    def test_wrong_json_type_rejected(self, where, key, bad):
+        doc = _one_tree_doc([_split(0, 1, 2), dict(LEAF), dict(LEAF)])
+        tree = doc["trees"][0]
+        target = {"model": doc, "tree": tree,
+                  "split": tree["nodes"][0], "leaf": tree["nodes"][1]}[where]
+        target[key] = bad
+        with pytest.raises(PersistenceError, match=f"malformed model document: {key} "):
+            GbdtModel.from_dict(doc)
+
     def test_overflowing_feature_index_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         doc = json.dumps(_one_tree_doc([_split(0, 1, 2), LEAF, LEAF]))

@@ -268,7 +268,7 @@ class TestPredictionReuse:
 
     def test_stage_preds_equal_predict_bitwise(self, recorded_run):
         _, stage_fits, _ = recorded_run
-        assert len(stage_fits) == 4  # stages 1-3, then the probe
+        assert len(stage_fits) == 5  # stages 1-3, the held-out refit, the probe
         for X, result in stage_fits:
             expected = result.model.predict(X)
             assert result.preds.view(np.int64).tolist() == expected.view(np.int64).tolist()
@@ -279,8 +279,7 @@ class TestPredictionReuse:
         for model, X in predicts:
             assert not any(row.tobytes() in trained[id(model)] for row in X)
         # Only stage 1's future rows and the held-out refit's tail weeks.
-        staged = {id(result.model) for _, result in stage_fits}
-        [held_out_head] = [X for model, X in fits if id(model) not in staged]
+        _, held_out_head = fits[3]  # stages 1-3 fit first, the probe last
         ds = default_dataset
         tail = ds.m - held_out_head.shape[0]
         assert sum(len(X) for _, X in predicts) == (ds.n - ds.m) + tail
