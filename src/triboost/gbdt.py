@@ -5,9 +5,10 @@ subsampling, so nothing in training is random and it takes no seed.  Split
 finding enumerates midpoints between consecutive distinct sorted feature
 values and scores them with the usual second-order gain; leaf weights are
 ``-G/(H + lambda)``.  Objectives are pluggable — anything that maps the
-full prediction vector to per-row diagonal gradient/Hessian pairs (see
-:class:`Objective`) — which is how the week-coupled losses in
-:mod:`triboost.objectives` drive the same engine as plain squared error.
+full prediction vector to per-row gradients and one diagonal Hessian shared
+by every row (see :class:`Objective`) — which is how the week-coupled
+losses in :mod:`triboost.objectives` drive the same engine as plain squared
+error.
 
 Split search is XGBoost's exact greedy algorithm on column blocks (Chen &
 Guestrin 2016, §4.1): ``fit`` argsorts the feature matrix once into a (k, n)
@@ -16,24 +17,25 @@ holds its own block, a stable partition of its parent's.  A node of c rows
 thus costs O(c·k), and all its features are scanned in a few 2-D passes.
 
 Determinism contract: identical inputs give bit-identical models.
-Gradient/Hessian prefix sums are accumulated strictly left to right along
-each feature's stable order (``np.cumsum`` along a row, never pairwise),
-leaf sums left to right in ascending row order, and ties between candidate
-splits resolve to the lowest feature index then the lowest threshold.
-When a round's Hessian is one constant for every row, as it is for all the
-built-in losses, ``fit`` takes its left-to-right prefix sum once
-(``np.full(n, h).cumsum()``) and every node and leaf reads its Hessian sums
-from that vector: every order of equal values has the same prefix, so the
-bits are those of the per-feature sums.  A cut's midpoint must lie above
-its left value, which only adjacent floats can fail; the scan checks that
-at the winning cut alone and falls back to the next best, which picks what
-checking every cut would.  Everything runs on the calling thread.
+Gradient prefix sums are accumulated strictly left to right along each
+feature's stable order (``np.cumsum`` along a row, never pairwise), leaf
+sums left to right in ascending row order, and ties between candidate
+splits resolve to the lowest feature index then the lowest threshold.  A
+round's Hessian h is one number for every row, so ``fit`` takes its
+left-to-right prefix sum once (``np.full(n, h).cumsum()``) and every node
+and leaf reads its Hessian sums from that vector: every order of equal
+values has the same prefix, so no feature needs its own.  A cut's midpoint
+must lie above its left value, which only adjacent floats can fail; the
+scan checks that at the winning cut alone and falls back to the next best,
+which picks what checking every cut would.  Everything runs on the calling
+thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -52,32 +54,35 @@ MODEL_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class GradHess:
-    """Per-row first/second derivatives of a loss at the current predictions.
+    """First and second derivatives of a loss at the current predictions.
 
-    Stored as two aligned vectors.  Hessians must be strictly positive —
-    the engine divides by their sums.
+    ``grad`` is one entry per row.  ``hess`` is one number, the diagonal
+    Hessian shared by every row; it must be finite and strictly positive,
+    since the engine divides by its sums.
     """
 
     grad: np.ndarray
-    hess: np.ndarray
+    hess: float
 
     def __post_init__(self) -> None:
         grad = np.asarray(self.grad, dtype=np.float64)
-        hess = np.asarray(self.hess, dtype=np.float64)
         object.__setattr__(self, "grad", grad)
+        if grad.ndim != 1:
+            raise ObjectiveError(f"grad must be a vector, got shape {grad.shape}")
+        if not np.all(np.isfinite(grad)):
+            raise ObjectiveError("non-finite gradient")
+        hess = self.hess
+        if isinstance(hess, bool) or not isinstance(hess, numbers.Real):
+            raise ObjectiveError(
+                f"hess must be one number shared by every row, got {type(hess).__name__}"
+            )
+        hess = float(hess)
+        if not 0.0 < hess < math.inf:  # false for NaN
+            raise ObjectiveError(
+                f"hessian {hess}; objectives must return a finite, strictly "
+                "positive second derivative"
+            )
         object.__setattr__(self, "hess", hess)
-        if grad.shape != hess.shape or grad.ndim != 1:
-            raise ObjectiveError(
-                f"grad/hess must be aligned vectors, got {grad.shape} and {hess.shape}"
-            )
-        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-            raise ObjectiveError("non-finite gradient or hessian")
-        if np.any(hess <= 0.0):
-            bad = int(np.argmax(hess <= 0.0))
-            raise ObjectiveError(
-                f"non-positive hessian {hess[bad]} at row {bad}; "
-                "objectives must return strictly positive second derivatives"
-            )
 
     def __len__(self) -> int:
         return self.grad.shape[0]
@@ -438,26 +443,15 @@ def leaf_weight(G: float, H: float, reg_lambda: float) -> float:
 SCAN_BUDGET = 1 << 12
 
 
-def _hess_terms(HL, H, config: TrainConfig):
-    """The gain's denominators HL+λ, HR+λ and H+λ for left Hessian sums
-    ``HL`` and total ``H``, and the mask of cuts whose children both meet
-    ``min_child_weight`` (None when every cut does: HL > 0, and H >= HL)."""
-    HR = H - HL
-    lam, min_child = config.reg_lambda, config.min_child_weight
-    heavy = (HL >= min_child) & (HR >= min_child) if min_child > 0.0 else None
-    return HL + lam, HR + lam, H + lam, heavy
-
-
 def find_best_split(
     rows: np.ndarray,
     grad: np.ndarray,
-    hess: np.ndarray,
+    hess_prefix: np.ndarray,
     features: np.ndarray,
     config: TrainConfig,
     *,
     block: np.ndarray | None = None,
     columns: np.ndarray | None = None,
-    hess_prefix: np.ndarray | None = None,
 ) -> SplitCandidate | None:
     """Exhaustive best split over all (feature, midpoint) candidates.
 
@@ -468,15 +462,14 @@ def find_best_split(
     transposed to a contiguous (k, n) array.  Both are built here when not
     given; ``fit`` passes them in.  The block is scanned in passes of whole
     features, at most ``SCAN_BUDGET`` elements per pass, each pass one 2-D
-    gather, cumulative sum and gain evaluation.  Gradient/Hessian prefix
-    sums run strictly left to right along each feature's order.
+    gather, cumulative sum and gain evaluation.  Gradient prefix sums run
+    strictly left to right along each feature's order.
 
-    When every entry of ``hess`` is one value h, ``hess_prefix`` may be
-    ``np.full(n, h).cumsum()`` for any n >= c; ``fit`` passes it.  Every
-    order of equal values has that same left-to-right prefix, so a node
-    takes its Hessian sums from it once, not once per feature, with the
-    same bits: ``prefix[:c - 1]`` left of each cut, ``prefix[c - 1]`` in
-    all.  ``hess`` is then not read.
+    Every row has the same Hessian h, and ``hess_prefix`` is
+    ``np.full(n, h).cumsum()`` for any n >= c.  Every order of equal values
+    has that same left-to-right prefix, so a node takes its Hessian sums
+    from it once, not once per feature: ``hess_prefix[:c - 1]`` left of
+    each cut, ``hess_prefix[c - 1]`` in all.
 
     Returns the maximum-gain candidate whose gain exceeds ``min_gain`` and
     whose children both meet ``min_child_weight``; ties go to the lowest
@@ -503,8 +496,14 @@ def find_best_split(
     values = columns.ravel()  # column f starts at values[starts[f]]
     starts = np.arange(num_features)[:, None] * columns.shape[1]
     per_pass = max(1, SCAN_BUDGET // c)
-    if hess_prefix is not None:  # one node's Hessian sums serve every feature
-        terms = _hess_terms(hess_prefix[: c - 1], hess_prefix[c - 1], config)
+    # One node's Hessian sums serve every feature: the gain's denominators,
+    # and the cuts whose children both meet ``min_child_weight`` (None when
+    # every cut does: HL > 0, and H >= HL).
+    HL, H = hess_prefix[: c - 1], hess_prefix[c - 1]
+    HR = H - HL
+    lam, min_child = config.reg_lambda, config.min_child_weight
+    HL_lam, HR_lam, H_lam = HL + lam, HR + lam, H + lam
+    heavy = (HL >= min_child) & (HR >= min_child) if min_child > 0.0 else None
 
     best: SplitCandidate | None = None
     for f0 in range(0, num_features, per_pass):  # ascending f: ties keep lowest
@@ -513,10 +512,6 @@ def find_best_split(
         gs = grad[idx].cumsum(axis=1)
         G, GL = gs[:, -1:], gs[:, :-1]
         GR = G - GL
-        if hess_prefix is None:
-            hs = hess[idx].cumsum(axis=1)
-            terms = _hess_terms(hs[:, :-1], hs[:, -1:], config)
-        HL_lam, HR_lam, H_lam, heavy = terms
         # 0.5 * (GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ)): the same operations
         # in the same order, with fewer temporaries.
         gains = GL * GL
@@ -553,19 +548,18 @@ def _grow_tree(
     columns: np.ndarray,
     presort: np.ndarray,
     grad: np.ndarray,
-    hess: np.ndarray,
+    hess_prefix: np.ndarray,
     config: TrainConfig,
-    hess_prefix: np.ndarray | None = None,
 ) -> tuple[RegressionTree, list[tuple[np.ndarray, float]]]:
-    """Grow one tree on fixed grad/hess; returns it plus (rows, weight) per
-    leaf so the caller can update predictions without re-routing.
+    """Grow one tree on fixed gradients and Hessian prefix (see
+    :func:`find_best_split`); returns it plus (rows, weight) per leaf so the
+    caller can update predictions without re-routing.
 
     ``presort`` is the root's column block (see :func:`find_best_split`).
     Each child's block is a stable partition of its parent's, so a node
     costs O(c·k) for its own c rows, and its rows stay in ascending order
-    for the leaf sums, which run left to right.  ``hess_prefix`` (see
-    :func:`find_best_split`) is given when ``hess`` is constant; it gives
-    the split search and the leaves their Hessian sums."""
+    for the gradient sums of the leaves, which run left to right.  A leaf
+    of c rows takes its Hessian sum from ``hess_prefix[c - 1]``."""
     nodes: list[SplitNode | LeafNode | None] = []
     leaves: list[tuple[np.ndarray, float]] = []
     deepest = 0
@@ -577,18 +571,14 @@ def _grow_tree(
         split = None
         if depth < config.max_depth and rows.shape[0] >= 2:
             split = find_best_split(
-                rows, grad, hess, X, config, block=block, columns=columns,
-                hess_prefix=hess_prefix,
+                rows, grad, hess_prefix, X, config, block=block, columns=columns
             )
         idx = len(nodes)
         if split is None:
             # The last of a left-to-right prefix sum; sum() would not keep
             # that order (it compensates from Python 3.12 on).
             G = float(grad[rows].cumsum()[-1])
-            if hess_prefix is None:
-                H = float(hess[rows].cumsum()[-1])
-            else:
-                H = float(hess_prefix[rows.shape[0] - 1])
+            H = float(hess_prefix[rows.shape[0] - 1])
             w = leaf_weight(G, H, config.reg_lambda)
             nodes.append(LeafNode(weight=w))
             leaves.append((rows, w))
@@ -652,11 +642,10 @@ def fit(
 
     The feature matrix is transposed once per fit into contiguous (k, n)
     columns and argsorted into a (k, n) int32 column block, which every
-    tree partitions node by node (see :func:`_grow_tree`).  After each
-    ``grad_hess``, one pass over the rows tests whether every Hessian equals
-    the first; if so, the round's trees take their Hessian sums from one
-    prefix vector, built again only when that constant changes (see
-    :func:`find_best_split`).  Training runs on the calling thread.
+    tree partitions node by node (see :func:`_grow_tree`).  Every tree takes
+    its Hessian sums from one prefix vector of the round's Hessian, built
+    again only when that number changes (see :func:`find_best_split`).
+    Training runs on the calling thread.
     """
     X = np.ascontiguousarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -678,21 +667,14 @@ def fit(
         loss_history.append(float(objective.loss(preds)))
 
     trees: list[RegressionTree] = []
-    hess_prefix = None  # of the last constant Hessian, rebuilt when it changes
+    hess_prefix = None  # of the last round's Hessian, rebuilt when it changes
     for _ in range(config.num_rounds):
         gh = objective.grad_hess(preds)
         if len(gh) != n:
-            raise ObjectiveError(
-                f"objective returned {len(gh)} grad/hess pairs for {n} rows"
-            )
-        h = gh.hess[0]
-        constant = bool((gh.hess == h).all())
-        if constant and (hess_prefix is None or hess_prefix[0] != h):
-            hess_prefix = np.full(n, h).cumsum()
-        tree, leaves = _grow_tree(
-            X, columns, presort, gh.grad, gh.hess, config,
-            hess_prefix if constant else None,
-        )
+            raise ObjectiveError(f"objective returned {len(gh)} gradients for {n} rows")
+        if hess_prefix is None or hess_prefix[0] != gh.hess:
+            hess_prefix = np.full(n, gh.hess).cumsum()
+        tree, leaves = _grow_tree(X, columns, presort, gh.grad, hess_prefix, config)
         for rows, w in leaves:
             preds[rows] += config.learning_rate * w
         trees.append(tree)

@@ -14,10 +14,10 @@ mass rescaled to the category total (:func:`pred_ratio`,
 :func:`stage3_target`).  The penalty alone is the constraint-only
 objective of the trivial-solution probe.
 
-Every objective hands the engine per-row diagonal Newton pairs (Chen &
-Guestrin 2016): gradients carry the 1/m or 1/n normalization, and the
-coupled penalty's -2/n cross terms between same-week rows are dropped from
-the Hessian.
+Every objective hands the engine per-row gradients, which carry the 1/m or
+1/n normalization, and one diagonal Hessian for every row (Chen & Guestrin
+2016): 2/m for stage 1, 4/n for stages 2 and 3 and 2/n for the penalty
+alone.  The penalty's 2/n cross terms between same-week rows are dropped.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class Stage1Objective:
         t = self.targets.values
         m = t.shape[0]
         grad = -2.0 * (t - _as_preds(preds, m)) / m
-        return GradHess(grad, np.full(m, 2.0 / m))
+        return GradHess(grad, 2.0 / m)
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class Stage2Objective:
         p = _as_preds(preds, n)
         R_rows = self.layout.expand(self.layout.residuals(p))
         grad = (-2.0 * (self.targets.values - p) - 2.0 * R_rows) / n
-        return GradHess(grad, np.full(n, 4.0 / n))
+        return GradHess(grad, 4.0 / n)
 
 
 @dataclass(frozen=True)
@@ -170,4 +170,4 @@ class ConstraintOnlyObjective:
     def grad_hess(self, preds: np.ndarray) -> GradHess:
         n = self.layout.n
         R_rows = self.layout.expand(self.layout.residuals(_as_preds(preds, n)))
-        return GradHess(-2.0 * R_rows / n, np.full(n, 2.0 / n))
+        return GradHess(-2.0 * R_rows / n, 2.0 / n)

@@ -429,13 +429,19 @@ def _read_csv(path: str | Path, required: Iterable[str]) -> Iterator:
     """Yield a UTF-8 CSV file's header, then each non-blank row as
     ``(line number, fields)``, reading as the caller consumes them.  Any
     read, decode, parse, header or field-count error is a
-    :class:`ValidationError` naming the file (and line)."""
+    :class:`ValidationError` naming the file (and line); a header that
+    names a column twice is one, since callers find columns by name."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise SchemaError(f"{path}: empty file, header required")
+            seen: set[str] = set()
+            for name in header:
+                if name in seen:
+                    raise SchemaError(f"{path}: column '{name}' appears more than once")
+                seen.add(name)
             for name in required:
                 if name not in header:
                     raise SchemaError(f"{path}: missing required column '{name}'")

@@ -120,6 +120,8 @@ class ScenarioConfig:
                 "stage1_bias_injection must be finite and > -1 (it scales a "
                 f"feature by 1+bias), got {self.stage1_bias_injection}"
             )
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ScenarioConfigError(f"seed must be >= 0, got {self.seed}")
         total = self.num_weeks_hist + self.num_weeks_future
         ids = set(self.product_ids())
         weeks_seen: set[int] = set()

@@ -121,7 +121,7 @@ def brute_force_fit(X, objective, config: TrainConfig):
     trees = []
     for _ in range(config.num_rounds):
         gh = objective.grad_hess(np.array(preds))
-        tree = brute_force_tree(list(range(n)), gh.grad, gh.hess, X, config)
+        tree = brute_force_tree(list(range(n)), gh.grad, np.full(n, gh.hess), X, config)
         trees.append(tree)
         for i in range(n):
             preds[i] += config.learning_rate * _eval_dict_tree(tree, X[i])

@@ -643,6 +643,51 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    def test_negative_seed_is_validation(self, tmp_path, capsys):
+        # Was a ValueError traceback from numpy's default_rng.
+        out = tmp_path / "g"
+        code, captured = run(["generate", "--out", str(out), "--set", "seed=-1"],
+                             capsys)
+        assert code == 3
+        assert captured.err == "validation: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", ["second sales", "f_1 as f_0"])
+    def test_repeated_panel_column_is_validation(self, ws, tmp_path, capsys, change):
+        # Each used to load, reading the last column of that name: every
+        # actual 1.0, or both feature columns equal to the old f_1.
+        paths = []
+        for name in ("train.csv", "test.csv"):
+            with open(ws / "data" / name, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            if change == "second sales":
+                header.append("sales")
+                for row in rows:
+                    row.append("1.0" if row[header.index("sales")] else "")
+            else:
+                header[header.index("f_1")] = "f_0"
+            paths.append(tmp_path / name)
+            with open(paths[-1], "w", newline="") as fh:
+                csv.writer(fh).writerows([header, *rows])
+        column = "sales" if change == "second sales" else "f_0"
+        code, captured = run(["train", "--data", *map(str, paths),
+                              "--out", str(tmp_path / "m"), *TRN], capsys)
+        assert code == 3
+        assert captured.err == (
+            f"validation: {paths[0]}: column '{column}' appears more than once\n")
+        assert not (tmp_path / "m").exists()
+
+    def test_repeated_prediction_column_is_validation(self, ws, tmp_path, capsys):
+        lines = (ws / "preds.csv").read_text().splitlines()
+        pred = tmp_path / "p.csv"
+        pred.write_text("\n".join(
+            [lines[0] + ",stage1", *(line + ",0.0" for line in lines[1:])]) + "\n")
+        code, captured = run(
+            ["evaluate", "--pred", str(pred), "--truth", str(ws / "data" / "truth.csv"),
+             "--out", str(tmp_path / "e.json")], capsys)
+        assert code == 3
+        assert captured.err == f"validation: {pred}: column 'stage1' appears more than once\n"
+
     @pytest.mark.parametrize("command", [
         "generate", "train", "predict", "evaluate", "diagnose",
     ])

@@ -46,9 +46,13 @@ ONE_UP = np.nextafter(1.0, 2.0)
 TIGHT_VALUES = np.array([-0.5, 1.0, ONE_UP, np.nextafter(ONE_UP, 2.0), 1.5, 2.0])
 
 
+def prefix(h, n):
+    """The Hessian prefix ``fit`` passes the split search: n rows of h."""
+    return np.full(n, h).cumsum()
+
+
 class ScheduledHessObjective:
-    """Squared error whose Hessian follows a per-round schedule: a float is
-    one constant for every row, an array is per-row values."""
+    """Squared error whose one Hessian follows a per-round schedule."""
 
     def __init__(self, y, schedule):
         self.y = np.asarray(y, dtype=np.float64)
@@ -65,8 +69,7 @@ class ScheduledHessObjective:
         n = self.y.shape[0]
         h = self.schedule[self.calls % len(self.schedule)]
         self.calls += 1
-        hess = np.full(n, h) if np.isscalar(h) else np.array(h, dtype=np.float64)
-        return GradHess(-2.0 * (self.y - preds) / n, hess)
+        return GradHess(-2.0 * (self.y - preds) / n, h)
 
 
 class TestTrainConfig:
@@ -96,18 +99,33 @@ class TestTrainConfig:
 class TestGradHess:
     def test_shape_mismatch(self):
         with pytest.raises(ObjectiveError):
-            GradHess(np.zeros(3), np.ones(2))
+            GradHess(np.zeros((3, 1)), 1.0)
 
     def test_non_finite_grad(self):
         with pytest.raises(ObjectiveError):
-            GradHess(np.array([np.inf]), np.ones(1))
+            GradHess(np.array([np.inf]), 1.0)
 
     def test_non_positive_hess(self):
         with pytest.raises(ObjectiveError):
-            GradHess(np.zeros(2), np.array([1.0, 0.0]))
+            GradHess(np.zeros(2), 0.0)
+
+    @pytest.mark.parametrize("hess", [
+        0, -0.5, np.nan, np.inf, -np.inf,
+        np.ones(2), np.ones(1), np.array(1.0), [1.0, 1.0], "1.0", None, True,
+    ])
+    def test_hess_must_be_one_positive_finite_number(self, hess):
+        # A per-row array, from an objective written for per-row Hessians,
+        # is rejected too, not coerced.
+        with pytest.raises(ObjectiveError):
+            GradHess(np.zeros(2), hess)
+
+    @pytest.mark.parametrize("hess", [0.25, 3, np.float64(0.5), np.float32(0.5)])
+    def test_hess_is_a_float(self, hess):
+        gh = GradHess(np.zeros(2), hess)
+        assert type(gh.hess) is float and gh.hess == hess
 
     def test_len(self):
-        assert len(GradHess(np.zeros(4), np.ones(4))) == 4
+        assert len(GradHess(np.zeros(4), 1.0)) == 4
 
 
 class TestLeafWeight:
@@ -125,59 +143,55 @@ class TestFindBestSplit:
         # grads [-1,-1,1,1], unit hessians, lambda 0: the middle cut has
         # gain 1/2 * (4/2 + 4/2 - 0/4) = 2.
         grad = np.array([-1.0, -1.0, 1.0, 1.0])
-        hess = np.ones(4)
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        got = find_best_split(np.arange(4), grad, hess, X, TrainConfig(reg_lambda=0.0))
+        got = find_best_split(np.arange(4), grad, prefix(1.0, 4), X,
+                              TrainConfig(reg_lambda=0.0))
         assert got is not None
         assert (got.feature, got.threshold, got.gain) == (0, 1.5, 2.0)
 
     def test_min_gain_rejects(self):
         grad = np.array([-1.0, -1.0, 1.0, 1.0])
-        hess = np.ones(4)
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         cfg = TrainConfig(reg_lambda=0.0, min_gain=3.0)
-        assert find_best_split(np.arange(4), grad, hess, X, cfg) is None
+        assert find_best_split(np.arange(4), grad, prefix(1.0, 4), X, cfg) is None
 
     def test_constant_feature_gives_none(self):
         grad = np.array([-1.0, 1.0])
-        hess = np.ones(2)
         X = np.zeros((2, 1))
-        assert find_best_split(np.arange(2), grad, hess, X, TrainConfig()) is None
+        assert find_best_split(np.arange(2), grad, prefix(1.0, 2), X, TrainConfig()) is None
 
     def test_min_child_weight_rejects_edges(self):
         # Only the 1-vs-3 and 3-vs-1 cuts have positive gain here, but a
         # child hessian floor of 2 rules both out.
         grad = np.array([-9.0, 1.0, 1.0, 1.0])
-        hess = np.ones(4)
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         base = TrainConfig(reg_lambda=0.0)
-        assert find_best_split(np.arange(4), grad, hess, X, base) is not None
+        assert find_best_split(np.arange(4), grad, prefix(1.0, 4), X, base) is not None
         cfg = TrainConfig(reg_lambda=0.0, min_child_weight=2.0)
-        got = find_best_split(np.arange(4), grad, hess, X, cfg)
+        got = find_best_split(np.arange(4), grad, prefix(1.0, 4), X, cfg)
         assert got is not None and got.threshold == 1.5
 
     def test_tie_breaks_to_lowest_feature(self):
         grad = np.array([-1.0, -1.0, 1.0, 1.0])
-        hess = np.ones(4)
         col = np.array([0.0, 1.0, 2.0, 3.0])
         X = np.column_stack([col, col])  # identical columns, identical gains
-        got = find_best_split(np.arange(4), grad, hess, X, TrainConfig(reg_lambda=0.0))
+        got = find_best_split(np.arange(4), grad, prefix(1.0, 4), X,
+                              TrainConfig(reg_lambda=0.0))
         assert got.feature == 0
 
     def test_tie_breaks_to_lowest_threshold(self):
         # Symmetric gradients: cutting before or after the middle row gives
         # the same gain; the scan must keep the earlier midpoint.
         grad = np.array([1.0, -2.0, 1.0])
-        hess = np.ones(3)
         X = np.array([[0.0], [1.0], [2.0]])
-        got = find_best_split(np.arange(3), grad, hess, X, TrainConfig(reg_lambda=0.0))
+        got = find_best_split(np.arange(3), grad, prefix(1.0, 3), X,
+                              TrainConfig(reg_lambda=0.0))
         assert got.threshold == 0.5
 
     def test_row_subset_only(self):
         grad = np.array([-1.0, 5.0, -1.0, 1.0])
-        hess = np.ones(4)
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        got = find_best_split(np.array([0, 2, 3]), grad, hess, X,
+        got = find_best_split(np.array([0, 2, 3]), grad, prefix(1.0, 4), X,
                               TrainConfig(reg_lambda=0.0))
         # row 1 is outside the node; best cut separates {0,2} from {3}
         assert got.threshold == 2.5
@@ -185,76 +199,45 @@ class TestFindBestSplit:
     def test_empty_rows_rejected(self):
         with pytest.raises(ValidationError):
             find_best_split(np.array([], dtype=np.intp), np.zeros(1),
-                            np.ones(1), np.zeros((1, 1)), TrainConfig())
-
-    @given(
-        n=st.integers(min_value=2, max_value=12),
-        k=st.integers(min_value=1, max_value=3),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        lam=st.sampled_from([0.0, 1e-3, 0.5, 2.0]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_brute_force(self, n, k, seed, lam):
-        rng = np.random.default_rng(seed)
-        X = np.round(rng.normal(size=(n, k)), 2)  # duplicates likely
-        grad = rng.normal(size=n)
-        hess = rng.uniform(0.5, 2.0, size=n)
-        cfg = TrainConfig(reg_lambda=lam)
-        # An unsorted row subset with repeats: the node is the set of rows.
-        subset = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
-        want_all = brute_force_split(list(range(n)), grad, hess, X, cfg)
-        want_subset = brute_force_split(sorted(set(subset.tolist())), grad,
-                                        hess, X, cfg)
-        # Scan budgets: one feature per pass; passes of two features for
-        # nodes of 5-6 rows (of all features for smaller ones); the default,
-        # under which every node here is a single pass.
-        for budget in (1, 12, gbdt.SCAN_BUDGET):
-            with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
-                got = find_best_split(np.arange(n), grad, hess, X, cfg)
-                got_subset = find_best_split(subset, grad, hess, X, cfg)
-            for got, want in ((got, want_all), (got_subset, want_subset)):
-                if want is None:
-                    assert got is None
-                else:
-                    assert got is not None
-                    assert (got.feature, got.threshold, got.gain) == want
+                            prefix(1.0, 1), np.zeros((1, 1)), TrainConfig())
 
     @given(
         n=st.integers(min_value=2, max_value=14),
         k=st.integers(min_value=1, max_value=3),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        h=st.sampled_from([2.0 / 7.0, 0.5, 1.0 / 3.0, 1.0]),
-        lam=st.sampled_from([0.0, 1e-3, 2.0]),
+        h=st.sampled_from([2.0 / 7.0, 0.5, 1.0 / 3.0, 1.0, 2.0]),
+        lam=st.sampled_from([0.0, 1e-3, 0.5, 2.0]),
         min_child=st.sampled_from([0.0, 0.6, 1.0, 2.5]),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_constant_hess_prefix_matches_general_path(self, n, k, seed, h, lam, min_child):
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force(self, n, k, seed, h, lam, min_child):
         rng = np.random.default_rng(seed)
         # Ties, and adjacent floats whose midpoint may not be a threshold.
         X = np.where(rng.random(size=(n, k)) < 0.5,
                      rng.choice(TIGHT_VALUES, size=(n, k)),
                      np.round(rng.normal(size=(n, k)), 1))
         grad = rng.normal(size=n)
-        hess = np.full(n, h)
-        prefix = hess.cumsum()
         cfg = TrainConfig(reg_lambda=lam, min_child_weight=min_child)
+        # An unsorted row subset with repeats: the node is the set of rows.
         subset = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
         for rows in (np.arange(n), subset):
-            want = brute_force_split(sorted(set(rows.tolist())), grad, hess, X, cfg)
+            # The oracle sums one Hessian per row, in each feature's order.
+            want = brute_force_split(sorted(set(rows.tolist())), grad,
+                                     np.full(n, h), X, cfg)
+            # Scan budgets: one feature per pass; passes of two features for
+            # nodes of 5-6 rows (of all features for smaller ones); the
+            # default, under which every node here is a single pass.
             for budget in (1, 12, gbdt.SCAN_BUDGET):
                 with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
-                    general = find_best_split(rows, grad, hess, X, cfg)
-                    constant = find_best_split(rows, grad, hess, X, cfg,
-                                               hess_prefix=prefix)
-                assert general == constant
+                    got = find_best_split(rows, grad, prefix(h, n), X, cfg)
                 if want is None:
-                    assert constant is None
+                    assert got is None
                 else:
-                    assert (constant.feature, constant.threshold, constant.gain) == want
+                    assert got is not None
+                    assert (got.feature, got.threshold, got.gain) == want
 
     @pytest.mark.parametrize("budget", [1, gbdt.SCAN_BUDGET])
-    @pytest.mark.parametrize("constant", [False, True])
-    def test_adjacent_float_cut_is_skipped(self, budget, constant):
+    def test_adjacent_float_cut_is_skipped(self, budget):
         # Feature 0's best cut, between 1.0 and the next float up, scores
         # highest (it separates the negative from the positive gradients),
         # but its midpoint rounds down to 1.0 and would send both values
@@ -263,23 +246,21 @@ class TestFindBestSplit:
                       [ONE_UP, 2.0], [ONE_UP, 4.0], [3.0, 5.0]])
         assert 0.5 * (1.0 + ONE_UP) == 1.0
         grad = np.array([-1.0, -2.0, -2.0, 2.0, 2.0, 1.0])
-        hess = np.ones(6)
         cfg = TrainConfig(reg_lambda=0.0)
-        prefix = hess.cumsum() if constant else None
         spread = X.copy()
         spread[3:5, 0] = 2.0  # the same order with room for a midpoint
         with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
-            got = find_best_split(np.arange(6), grad, hess, X, cfg, hess_prefix=prefix)
-            top = find_best_split(np.arange(6), grad, hess, spread, cfg, hess_prefix=prefix)
+            got = find_best_split(np.arange(6), grad, prefix(1.0, 6), X, cfg)
+            top = find_best_split(np.arange(6), grad, prefix(1.0, 6), spread, cfg)
         assert (top.feature, top.threshold) == (0, 1.5)
         assert (got.feature, got.threshold, got.gain) == (1, 1.5, 3.375)
         assert got.gain < top.gain
         assert (got.feature, got.threshold, got.gain) == brute_force_split(
-            range(6), grad, hess, X, cfg)
+            range(6), grad, np.ones(6), X, cfg)
         # With no other cut, the node does not split at all.
         pair = np.array([[1.0], [ONE_UP]])
-        assert find_best_split(np.arange(2), grad[2:4], hess[:2], pair, cfg,
-                               hess_prefix=prefix) is None
+        assert find_best_split(np.arange(2), grad[2:4], prefix(1.0, 2), pair,
+                               cfg) is None
 
 
 class TestFit:
@@ -352,9 +333,9 @@ class TestFit:
                 return 0.0
 
             def grad_hess(self, preds):
-                return GradHess(np.zeros(2), np.ones(2))
+                return GradHess(np.zeros(2), 1.0)
 
-        with pytest.raises(ObjectiveError, match="pairs"):
+        with pytest.raises(ObjectiveError, match="2 gradients for 3 rows"):
             fit(np.zeros((3, 1)), Broken(), TrainConfig(num_rounds=1))
 
     def test_preds_out_holds_predict_bitwise(self):
@@ -400,32 +381,22 @@ class TestFit:
             assert model.predict(X).tolist() == preds
 
     @pytest.mark.parametrize("schedule", [
-        [0.5, 0.5, 2.0, 0.5],  # a constant that changes and comes back
-        [0.5, "rows", 0.5, 1.0 / 3.0],  # per-row values between constants
-        ["rows"],  # never constant
-        ["first"],  # all equal but the first row
-        ["last"],  # all equal but the last row
+        [0.5, 0.5, 2.0, 0.5],  # a Hessian that changes and comes back
+        [0.5, 0.75, 0.5, 1.0 / 3.0],  # a new Hessian on every round
+        [2.0 / 7.0],  # one Hessian throughout
     ])
     @pytest.mark.parametrize("reg_lambda, min_child", [(0.0, 0.0), (0.5, 0.3)])
     def test_hess_schedule_matches_general_path(self, schedule, reg_lambda, min_child):
+        # The engine rebuilds its Hessian prefix only when the Hessian
+        # changes; the oracle's general path sums one Hessian per row.
         rng = np.random.default_rng(5)
         n = 24
         X = np.where(rng.random(size=(n, 2)) < 0.3, rng.choice(TIGHT_VALUES, size=(n, 2)),
                      np.round(rng.normal(size=(n, 2)), 1))
         y = X @ np.array([1.0, -2.0]) + rng.normal(size=n)
-        per_row = {"rows": rng.uniform(0.2, 1.0, size=n),
-                   "first": np.r_[0.75, np.full(n - 1, 0.5)],
-                   "last": np.r_[np.full(n - 1, 0.5), 0.75]}
-        schedule = [per_row[h] if isinstance(h, str) else h for h in schedule]
         cfg = TrainConfig(num_rounds=6, max_depth=3, learning_rate=0.5,
                           reg_lambda=reg_lambda, min_child_weight=min_child)
         model = fit(X, ScheduledHessObjective(y, schedule), cfg)
-        # The engine's general path: _grow_tree without a Hessian prefix.
-        grow = gbdt._grow_tree
-        with mock.patch.object(gbdt, "_grow_tree",
-                               lambda *args: grow(*args[:6])):
-            general = fit(X, ScheduledHessObjective(y, schedule), cfg)
-        assert model == general
         base, trees, preds = brute_force_fit(X, ScheduledHessObjective(y, schedule), cfg)
         assert_same_model(model, base, trees)
         assert model.predict(X).tolist() == preds

@@ -368,6 +368,17 @@ class TestCsvIo:
         with pytest.raises(SchemaError, match="category_total"):
             load_panel_csv(path)
 
+    @pytest.mark.parametrize("header", [
+        "product_id,week,sales,category_total,alpha,sales",
+        "product_id,week,sales,category_total,alpha,alpha",
+    ], ids=["sales", "feature"])
+    def test_repeated_column_rejected(self, tmp_path, header):
+        path = tmp_path / "p.csv"
+        path.write_text(f"{header}\nP0,0,1.0,,0.5,1.5\n")
+        column = header.rsplit(",", 1)[1]
+        with pytest.raises(SchemaError, match=f"column '{column}' appears more than once"):
+            load_panel_csv(path)
+
     def test_unmapped_columns_become_features(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(

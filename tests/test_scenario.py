@@ -112,6 +112,7 @@ class TestConfigValidation:
             (dict(noise_sd=float("inf")), "noise_sd"),
             (dict(stage1_bias_injection=float("nan")), "stage1_bias_injection"),
             (dict(stage1_bias_injection=float("inf")), "stage1_bias_injection"),
+            (dict(seed=-1), "seed"),
         ],
     )
     def test_rejects(self, kwargs, fragment):
