@@ -236,6 +236,48 @@ class TestFindBestSplit:
                     assert got is not None
                     assert (got.feature, got.threshold, got.gain) == want
 
+    @given(
+        n=st.integers(min_value=2, max_value=14),
+        k=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        h=st.sampled_from([2.0 / 7.0, 0.5, 1.0 / 3.0, 1.0, 2.0]),
+        lam=st.sampled_from([0.0, 1e-3, 0.5, 2.0]),
+        min_child=st.sampled_from([0.0, 0.6, 1.0, 2.5]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_constant_hess_prefix_matches_general_path(self, n, k, seed, h, lam, min_child):
+        # The node's Hessian sums come from one shared prefix of any length
+        # n >= c, whatever the node's rows; the oracle sums a per-row
+        # Hessian along each feature's own order.  The block and columns
+        # ``fit`` passes in (an int32 block) give the same split as those
+        # built from the rows.
+        rng = np.random.default_rng(seed)
+        X = np.where(rng.random(size=(n, k)) < 0.5,
+                     rng.choice(TIGHT_VALUES, size=(n, k)),
+                     np.round(rng.normal(size=(n, k)), 1))
+        grad = rng.normal(size=n)
+        cfg = TrainConfig(reg_lambda=lam, min_child_weight=min_child)
+        columns = np.ascontiguousarray(X.T)
+        subset = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+        for rows in (np.arange(n), subset):
+            node = np.unique(rows)
+            c = node.shape[0]
+            want = brute_force_split(node.tolist(), grad, np.full(n, h), X, cfg)
+            block = node[np.argsort(columns[:, node], axis=1, kind="stable")]
+            for budget in (1, 12, gbdt.SCAN_BUDGET):
+                with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
+                    got = [find_best_split(rows, grad, prefix(h, m), X, cfg)
+                           for m in (c, n, 2 * n + 1)]
+                    got.append(find_best_split(
+                        rows, grad, prefix(h, n), X, cfg,
+                        block=block.astype(np.int32), columns=columns))
+                assert all(g == got[0] for g in got[1:])
+                if want is None:
+                    assert got[0] is None
+                else:
+                    assert got[0] is not None
+                    assert (got[0].feature, got[0].threshold, got[0].gain) == want
+
     @pytest.mark.parametrize("budget", [1, gbdt.SCAN_BUDGET])
     def test_adjacent_float_cut_is_skipped(self, budget):
         # Feature 0's best cut, between 1.0 and the next float up, scores
