@@ -23,7 +23,8 @@ by ``_fit_stage``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,11 +40,15 @@ from .objectives import (
     pred_ratio,
     stage3_target,
 )
-from .panel import PanelDataset
+from .panel import GroupLayout, PanelDataset
 
 # The cascade's passes in order: model file, manifest and CSV column names.
 STAGES = ("stage1", "stage2", "stage3")
 
+# The constraint-only probe's base config: unregularized, and its round
+# count is a cap.  :func:`probe_config` sets the learning rate, and on
+# panels of at most 2**max_depth weeks the depth and rounds, from the
+# panel's week layout.
 PROBE_CONFIG = TrainConfig(
     num_rounds=200,
     max_depth=8,
@@ -89,17 +94,24 @@ class StageOutputs:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Constraint-only training on a week-only view of the data."""
+    """Constraint-only training on a week-only view of the data, and the
+    number of rounds it ran."""
 
     weekly_preds: np.ndarray
     weekly_targets: np.ndarray
     max_abs_gap: float
     max_rel_gap: float
     loss_curve: tuple[float, ...]
+    rounds: int
 
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
+    """What :func:`diagnose` reports.  ``stage2_term_ratio`` is the fit
+    term over the constraint term, None (JSON null) when the constraint
+    term is zero and the ratio is undefined; ``trivial_probe_rounds`` is
+    the number of rounds the probe ran (:func:`probe_config`)."""
+
     stage1_weekly_deviation: dict[int, float]
     stage1_squared_deviation_sum: float
     bias_direction: str
@@ -107,9 +119,10 @@ class DiagnosticsReport:
     stage2_fit_term_future: float
     stage2_constraint_term: float
     stage2_constraint_term_future: float
-    stage2_term_ratio: float
+    stage2_term_ratio: float | None
     trivial_probe_max_abs_gap: float
     trivial_probe_max_rel_gap: float
+    trivial_probe_rounds: int
 
     def to_dict(self) -> dict:
         return {
@@ -130,6 +143,7 @@ class DiagnosticsReport:
             "trivial_probe": {
                 "max_abs_gap": self.trivial_probe_max_abs_gap,
                 "max_rel_gap": self.trivial_probe_max_rel_gap,
+                "rounds": self.trivial_probe_rounds,
             },
         }
 
@@ -263,9 +277,48 @@ def run_pipeline(
     )
 
 
+def probe_config(layout: GroupLayout) -> TrainConfig:
+    """:data:`PROBE_CONFIG` fitted to a panel's week layout.
+
+    The probe's only feature is the week index, so every leaf holds whole
+    weeks.  Moving a leaf by d changes the penalty by a quadratic whose
+    curvature, (2/n) times the sum of its weeks' squared row counts, is at
+    most c_max times the leaf's Hessian sum, c_max being the largest
+    week's row count.  So learning rate 1/c_max never raises the loss
+    (Böhning & Lindsay 1988), and a week of c rows in a leaf of its own
+    keeps (1 - c/c_max) of its gap per round; sharing a leaf only with
+    weeks of the same residual moves it the same way.
+
+    With W <= ``2**PROBE_CONFIG.max_depth`` weeks the depth becomes W - 1.
+    At lambda 0 and min_gain 0 a node splits while its weeks' residuals
+    differ, so every tree then separates every pair of weeks whose
+    residuals differ, and the rounds follow from that contraction at the
+    smallest count c_min: ceil(ln eps / ln(1 - c_min/c_max)) with
+    eps = 2**-52, which shrinks every week's gap, its total at the start
+    from zero, below eps of that total.  That is one round when all weeks
+    have the same count; the base config's rounds cap it.  More weeks keep
+    the base depth and rounds, with learning rate 1/c_max.
+    """
+    counts = layout.counts
+    c_max, c_min = int(counts.max()), int(counts.min())
+    config = replace(PROBE_CONFIG, learning_rate=1.0 / c_max)
+    weeks = counts.shape[0]
+    if weeks > 2**PROBE_CONFIG.max_depth:
+        return config
+    keep = 1.0 - c_min / c_max
+    rounds = 1
+    if keep > 0.0:
+        rounds = math.ceil(math.log(np.finfo(np.float64).eps) / math.log(keep))
+    return replace(
+        config,
+        num_rounds=min(rounds, PROBE_CONFIG.num_rounds),
+        max_depth=max(weeks - 1, 1),
+    )
+
+
 def trivial_solution_probe(dataset: PanelDataset) -> ProbeResult:
     """Train on the constraint term alone with the week index as the only
-    feature (zero variance within each week).
+    feature (zero variance within each week), with :func:`probe_config`.
 
     With nothing to distinguish same-week rows, the minimizer is the
     per-week constant total/count; the reported gap says how close training
@@ -275,8 +328,9 @@ def trivial_solution_probe(dataset: PanelDataset) -> ProbeResult:
     counts in the absolute gap.
     """
     layout = dataset.layout
+    config = probe_config(layout)
     week_col = dataset.week_of_row.astype(np.float64)[:, None]
-    probe = _fit_stage(week_col, ConstraintOnlyObjective(layout), PROBE_CONFIG, dataset.n)
+    probe = _fit_stage(week_col, ConstraintOnlyObjective(layout), config, dataset.n)
     weekly = layout.weekly_sums(probe.preds) / layout.counts
     targets = layout.totals / layout.counts
     gap = np.abs(weekly - targets)
@@ -288,6 +342,7 @@ def trivial_solution_probe(dataset: PanelDataset) -> ProbeResult:
         max_abs_gap=float(np.max(gap)),
         max_rel_gap=float(np.max(rel_gap, initial=0.0)),
         loss_curve=probe.loss_curve,
+        rounds=config.num_rounds,
     )
 
 
@@ -344,7 +399,7 @@ def diagnose(
     R = layout.residuals(outputs.stage2)
     constraint_term = float(np.sum(R * R) / n)
     constraint_future = float(np.sum(R[future] * R[future]) / n)
-    ratio = fit_term / constraint_term if constraint_term > 0 else float("inf")
+    ratio = fit_term / constraint_term if constraint_term > 0 else None
 
     probe = trivial_solution_probe(dataset)
 
@@ -359,6 +414,7 @@ def diagnose(
         stage2_term_ratio=ratio,
         trivial_probe_max_abs_gap=probe.max_abs_gap,
         trivial_probe_max_rel_gap=probe.max_rel_gap,
+        trivial_probe_rounds=probe.rounds,
     )
 
 

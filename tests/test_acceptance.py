@@ -35,7 +35,7 @@ from triboost.objectives import (
     pred_ratio,
     stage3_target,
 )
-from triboost.pipeline import PROBE_CONFIG, run_pipeline, trivial_solution_probe
+from triboost.pipeline import PROBE_CONFIG, probe_config, run_pipeline, trivial_solution_probe
 from triboost.scenario import CategoryCurve, ScenarioConfig, generate
 
 
@@ -134,15 +134,19 @@ def test_criterion_2_engine_matches_brute_force(report):
 
 
 def test_criterion_3_constraint_only_probe_hits_trivial_solution(
-    report, default_result
+    report, bias_sweep
 ):
-    gap = default_result.diagnostics.trivial_probe_max_rel_gap
-    ok = PROBE_CONFIG.num_rounds == 200 and gap < 0.01
+    dataset, result = bias_sweep[0.15]  # the default scenario
+    diagnostics = result.diagnostics
+    gap, rounds = diagnostics.trivial_probe_max_rel_gap, diagnostics.trivial_probe_rounds
+    expected = probe_config(dataset.layout).num_rounds
+    ok = gap < 0.01 and rounds == expected < PROBE_CONFIG.num_rounds
     report(
         3,
         ok,
         f"probe on the zero-variance week feature: every weekly mean within "
-        f"{gap:.2e} of total/count after {PROBE_CONFIG.num_rounds} rounds (< 1%)",
+        f"{gap:.2e} of total/count after {rounds} rounds (< 1%; the week-count "
+        f"rule gives {expected}, cap {PROBE_CONFIG.num_rounds})",
     )
 
 

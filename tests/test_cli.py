@@ -375,6 +375,30 @@ class TestDiagnose:
         for path in (models / "manifest.json", out):
             json.loads(path.read_text(), parse_constant=reject)
 
+    def test_zero_constraint_term_ratio_is_null(self, tmp_path):
+        # Stage 2 meets both weekly totals exactly here, so its fit/constraint
+        # ratio is undefined: null in both files, not Infinity, which strict
+        # JSON rejects.
+        data, models, out = tmp_path / "panel.csv", tmp_path / "models", tmp_path / "d.json"
+        data.write_text(
+            "product_id,week,sales,category_total,f_0\n"
+            "P0,0,5.0,,0.1\nP1,0,3.0,,0.7\nP0,1,,8.0,0.2\nP1,1,,8.0,0.9\n"
+        )
+        assert main(["train", "--data", str(data), "--out", str(models),
+                     "--set", "num_rounds=5"]) == 0
+        assert main(["diagnose", "--data", str(data), "--models", str(models),
+                     "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        manifest = json.loads((models / "manifest.json").read_text(), parse_constant=reject)
+        report = json.loads(out.read_text(), parse_constant=reject)
+        for diagnostics in (manifest["diagnostics"], report):
+            assert diagnostics["stage2_terms"]["constraint"] == 0.0
+            assert diagnostics["stage2_terms"]["ratio"] is None
+            assert diagnostics["trivial_probe"]["rounds"] == 1
+
     def test_help_lists_three_flags(self, capsys):
         assert main(["diagnose", "--help"]) == 0
         flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
@@ -800,7 +824,7 @@ GENERATE_GOLDEN_SHA256 = {
     "wide/train.csv": "7b6f42ac0242deaca1e35ad45a3eddf346f4a7ef2b3ff6c45fa14b13b97f3818",
     "wide/test.csv": "9d0115776a0f8b80296824c9b3c67c98378243d9b9fcdcd32c033ce67e5d4b49",
     "wide/truth.csv": "6ddcfdfd0478e7f7bea3f118eb42c63adb6f8f0ae4cd9a512c0a5809e1afab7e",
-    "models/manifest.json": "8ca1792b2026f489774cd5bfc6c5a0407cdf43d0a504a7736220504aaee20931",
+    "models/manifest.json": "89ed27347b68e530dc15dae71fa2bb8142dea98c95753dfb0deac64bb7385313",
     "data/manifest.json": "4889ef3fa0ec1c5550852c38c8dc3326bba2067f746043a70905b555a80fcc71",
     "multi/train.csv": "9846ef2740f6b9eb639d2aa71180fa94c7b0385eb11a3ff7e3c14ebe0a1ed28d",
     "multi/test.csv": "e86577f95ad416407a102fb07525aaebf4a43474a9cc5590ed869fb7a423bf6a",

@@ -2,23 +2,28 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_panel
+from conftest import make_panel, random_panel
 from triboost import pipeline
 from triboost.errors import DegenerateRatioError, ValidationError
 from triboost.gbdt import GbdtModel, TrainConfig
 from triboost.objectives import StageTargets, pred_ratio, stage3_target
+from triboost.panel import GroupLayout
 from triboost.pipeline import (
     PROBE_CONFIG,
     PipelineConfig,
     bias_tally,
     diagnose,
+    probe_config,
     pseudo_label_targets,
     run_pipeline,
     run_stage1,
     stage3_features,
     trivial_solution_probe,
 )
+from triboost.scenario import ScenarioConfig, generate
 
 FAST = TrainConfig(num_rounds=60, max_depth=3, learning_rate=0.1)
 
@@ -140,14 +145,93 @@ class TestTrivialProbe:
         assert probe.max_abs_gap < 1e-8
 
     def test_probe_config_is_unregularized(self):
+        # lambda 0 keeps total/count the exact optimum; 200 rounds is the cap
+        # that probe_config's rule never exceeds.
         assert PROBE_CONFIG.reg_lambda == 0.0
         assert PROBE_CONFIG.num_rounds == 200
 
     def test_loss_curve_shape(self, panel):
+        # Four weeks of two rows each: one round at learning rate 1/2.
         probe = trivial_solution_probe(panel)
-        assert len(probe.loss_curve) == PROBE_CONFIG.num_rounds + 1
+        assert probe.rounds == probe_config(panel.layout).num_rounds == 1
+        assert len(probe.loss_curve) == probe.rounds + 1
         assert all(b <= a for a, b in
                    zip(probe.loss_curve, probe.loss_curve[1:]))
+
+
+def panel_layout(counts) -> GroupLayout:
+    """A layout of consecutive weeks with the given row counts."""
+    weeks = np.repeat(np.arange(len(counts)), counts)
+    return GroupLayout.from_week_column(weeks, np.ones(weeks.shape[0]))
+
+
+def assert_probe_converges(dataset) -> None:
+    """The probe rule's guarantees: a loss that never rises, one recorded
+    loss per round plus the start, and total/count to within rounding
+    whenever the rule's round count is below its cap."""
+    probe = trivial_solution_probe(dataset)
+    config = probe_config(dataset.layout)
+    assert probe.rounds == config.num_rounds
+    assert len(probe.loss_curve) == probe.rounds + 1
+    assert np.all(np.diff(probe.loss_curve) <= 0.0)
+    if probe.rounds < PROBE_CONFIG.num_rounds:
+        assert probe.max_rel_gap <= 1e-12
+
+
+class TestProbeRule:
+    @pytest.mark.parametrize("counts, rounds, depth, lr", [
+        ([5, 5, 5], 1, 2, 1 / 5),      # equal weeks: one exact step
+        ([4, 5], 23, 1, 1 / 5),        # the default panel's counts
+        ([49, 50, 50], 10, 2, 1 / 50),  # the wide benchmark panel's
+        ([9, 12], 26, 1, 1 / 12),      # a 9-12-product multi-launch panel
+        ([1], 1, 1, 1.0),              # one week still grows a valid tree
+        ([1, 50], 200, 1, 1 / 50),     # a slow contraction hits the cap
+    ])
+    def test_rule(self, counts, rounds, depth, lr):
+        config = probe_config(panel_layout(counts))
+        assert (config.num_rounds, config.max_depth) == (rounds, depth)
+        assert config.learning_rate == lr
+        assert (config.reg_lambda, config.min_gain) == (0.0, 0.0)
+
+    def test_more_weeks_than_leaves_keep_the_base_config(self):
+        # 10 rows in each of 10,000 weeks: 1/10 is the base learning rate.
+        assert probe_config(panel_layout(np.full(10_000, 10))) == PROBE_CONFIG
+
+    def test_256_weeks_get_one_level_fewer(self):
+        assert probe_config(panel_layout(np.full(256, 3))).max_depth == 255
+        assert probe_config(panel_layout(np.full(257, 3))).max_depth == 8
+
+    def test_a_chain_of_255_levels_converges(self):
+        # Totals 3**w make nearly every best cut peel off the largest week,
+        # so the tree is a chain about as deep as the rule allows: 255
+        # levels of recursion in the tree builder.
+        dataset = make_panel({w: [3.0**w, 1.0, 1.0] for w in range(255)}, {255: (3, 10.0)})
+        fits = []
+        real_fit_stage = pipeline._fit_stage
+
+        def fit_stage(*args):
+            fits.append(real_fit_stage(*args))
+            return fits[-1]
+
+        with mock.patch.object(pipeline, "_fit_stage", fit_stage):
+            assert_probe_converges(dataset)
+        assert fits[0].model.trees[0].max_depth_reached > 250
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_panels(self, seed):
+        assert_probe_converges(random_panel(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("scenario", [
+        ScenarioConfig(num_products=50, num_weeks_hist=18, num_weeks_future=6,
+                       launch_schedule={"P49": 18}),
+        ScenarioConfig(num_products=200, num_weeks_hist=8, num_weeks_future=4,
+                       launch_schedule={"P199": 8}),
+        ScenarioConfig(num_products=12, launch_schedule={"P09": 30, "P10": 60, "P11": 90}),
+    ], ids=["50-a-week", "200-a-week", "multi-launch"])
+    def test_scenarios(self, scenario):
+        dataset, _ = generate(scenario)
+        assert_probe_converges(dataset)
 
 
 class TestBiasTally:
