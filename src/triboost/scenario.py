@@ -255,9 +255,10 @@ def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
         row_ids,
         row_week,
         features,
-        row_sales[:m].tolist() + [None] * (row_week.size - m),
+        row_sales,
         _FEATURE_NAMES,
         recorded_totals[row_week],
+        has_sales=np.arange(row_week.size) < m,
     )
     truth = GroundTruth(
         product_ids=tuple(row_ids[m:]),

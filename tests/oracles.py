@@ -12,9 +12,20 @@ doubles, so agreement can be asserted bitwise, not just approximately.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
+from triboost.errors import SchemaError, ValidationError
 from triboost.gbdt import GbdtModel, LeafNode, SplitNode, TrainConfig
+from triboost.panel import (
+    PANEL_COLUMNS,
+    PanelDataset,
+    _parse_blank_or_float,
+    _parse_float,
+    _parse_int,
+    _read_csv,
+)
 
 
 def seq_sum(values) -> float:
@@ -197,3 +208,56 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / scale))
+
+
+# ---------------------------------------------------------------------------
+# panel CSV reader, one cell at a time
+
+
+def reference_load_panel_csv(paths) -> PanelDataset:
+    """Load panel CSVs row by row and cell by cell, sort the rows with
+    ``sorted`` over ``(week, product_id)`` tuples, and build the dataset
+    with ``PanelDataset.from_columns``: the reader ``load_panel_csv`` must
+    agree with, dataset and error message alike."""
+    if isinstance(paths, (str, Path)):
+        paths = [paths]
+    if not paths:
+        raise ValidationError("no input files given")
+    feature_names = None
+    products, weeks, sales, totals, features = [], [], [], [], []
+    categories = set()
+    for path in paths:
+        path = Path(path)
+        rows = _read_csv(path, PANEL_COLUMNS)
+        header = next(rows)
+        col = {name: i for i, name in enumerate(header)}
+        names = [n for n in header if n not in PANEL_COLUMNS and n != "category"]
+        for lineno, row in rows:
+            products.append(row[col["product_id"]])
+            weeks.append(_parse_int(row[col["week"]], path, lineno, "week"))
+            sales.append(_parse_blank_or_float(row[col["sales"]], path, lineno, "sales"))
+            totals.append(_parse_blank_or_float(
+                row[col["category_total"]], path, lineno, "category_total"))
+            features.append([_parse_float(row[col[n]], path, lineno, n) for n in names])
+            if "category" in col:
+                categories.add(row[col["category"]])
+        if feature_names is None:
+            feature_names = names
+        elif names != feature_names:
+            raise SchemaError(
+                f"{path}: feature columns {names} do not match {feature_names}"
+            )
+    if len(categories) > 1:
+        raise ValidationError(
+            f"multiple categories {sorted(categories)}; one category per dataset"
+        )
+    order = sorted(range(len(weeks)), key=list(zip(weeks, products)).__getitem__)
+    matrix = np.array(features, dtype=np.float64).reshape(len(order), len(feature_names))
+    return PanelDataset.from_columns(
+        [products[i] for i in order],
+        [weeks[i] for i in order],
+        matrix[order],
+        [sales[i] for i in order],
+        feature_names,
+        [totals[i] for i in order],
+    )

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import json
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from triboost.cli import main
+from triboost.cli import MODEL_FILES, main
+from triboost.panel import load_panel_csv
 
 SCN = [
     "--set", "num_products=3",
@@ -139,6 +141,20 @@ class TestTrain:
         code, captured = run([*argv, "--set", "seed=9"], capsys)
         assert code == 3
         assert "unknown training config key 'seed'" in captured.err
+
+    def test_byte_order_mark_is_accepted(self, ws, tmp_path):
+        # A UTF-8 BOM, as spreadsheet programs write one, used to end up in
+        # the first column's name: exit 3, "missing required column".
+        data = ws / "data"
+        bom = tmp_path / "train.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + (data / "train.csv").read_bytes())
+        test = data / "test.csv"
+        assert load_panel_csv([bom, test]) == load_panel_csv([data / "train.csv", test])
+        out = tmp_path / "m"
+        assert main(["train", "--data", str(bom), str(test), "--out", str(out),
+                     "--threads", "1", *TRN]) == 0
+        for name in MODEL_FILES.values():
+            assert (out / name).read_bytes() == (ws / "models" / name).read_bytes()
 
     def test_stage_prefixed_override(self, ws, tmp_path):
         out = tmp_path / "m"
@@ -630,6 +646,31 @@ class TestExitCodes:
         assert captured.err.startswith(
             f"validation: {test}:2: column 'week': integer out of range")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("across_files", [False, True],
+                             ids=["within-file", "across-files"])
+    def test_duplicate_row_names_week_product_and_lines(self, ws, tmp_path, capsys,
+                                                        across_files):
+        # Both used to print only "duplicate (week, product) rows".
+        data = ws / "data"
+        header, *rows = (data / "test.csv").read_text().splitlines(True)
+        product, week = rows[2].split(",")[:2]  # the row on line 4
+        if across_files:
+            extra = tmp_path / "extra.csv"
+            extra.write_text(header + rows[2])
+            files = [data / "train.csv", data / "test.csv", extra]
+            where = f"{data / 'test.csv'}:4 and {extra}:2"
+        else:
+            test = tmp_path / "test.csv"
+            test.write_text("".join([header, *rows[:4], rows[2], *rows[4:]]))
+            files = [data / "train.csv", test]
+            where = f"{test}:4 and {test}:6"
+        code, captured = run(["train", "--data", *map(str, files),
+                              "--out", str(tmp_path / "m"), *TRN], capsys)
+        assert code == 3
+        assert captured.err == (
+            f"validation: duplicate (week, product) rows: week {week}, "
+            f"product '{product}' at {where}\n")
 
     @pytest.mark.parametrize("setting", [
         "reg_lambda=inf", "reg_lambda=nan", "min_gain=nan", "min_gain=inf",

@@ -1,15 +1,22 @@
 import csv
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_panel
+from conftest import make_panel, random_panel
+from oracles import reference_load_panel_csv
+from test_csv_fuzz import CELLS, CORRUPTIONS, corrupt
+from triboost import panel
 from triboost.errors import (
     ConstraintDataError,
     OrderingError,
     SchemaError,
+    TriboostError,
     ValidationError,
 )
 from triboost.panel import (
@@ -51,6 +58,35 @@ class TestFromRecords:
         records = [rec("P0", 0, [0.0], 1.0), rec("P0", 0, [1.0], 2.0)]
         with pytest.raises(ValidationError, match="duplicate"):
             PanelDataset.from_records(records, ["f_0"])
+
+    @pytest.mark.parametrize("first", [1.0, -2.5, np.nan])
+    def test_sales_flags_read_as_none_on_future_rows(self, first):
+        columns = (["P0", "P1", "P0"], [0, 0, 1], np.zeros((3, 1)))
+        totals = [None, None, 5.0]
+        listed = _outcome(PanelDataset.from_columns, *columns, [first, 2.0, None],
+                          ["f_0"], totals)
+        flagged = _outcome(PanelDataset.from_columns, *columns,
+                           np.array([first, 2.0, 7.0]), ["f_0"], totals,
+                           has_sales=[True, True, False])
+        assert flagged == listed
+        with pytest.raises(ValidationError, match=r"3 product ids and \(2,\) sales flags"):
+            PanelDataset.from_columns(*columns, np.zeros(3), ["f_0"], totals,
+                                      has_sales=[True, True])
+
+    def test_first_duplicate_and_first_row_out_of_order_are_named(self):
+        names = ["f_0"]
+        ids = ["P0", "P1", "P1", "P2", "P2"]
+        weeks = [0, 0, 0, 1, 1]
+        columns = (np.zeros((5, 1)), [1.0] * 5, names)
+        with pytest.raises(ValidationError) as info:
+            PanelDataset.from_columns(ids, weeks, *columns)
+        assert str(info.value) == (
+            "duplicate (week, product) rows: week 0, product 'P1' at row 1 and row 2")
+        with pytest.raises(OrderingError) as info:
+            PanelDataset.from_columns(["P0", "P2", "P1", "P0", "P0"], weeks, *columns)
+        assert str(info.value) == (
+            "records must be sorted by (week_index, product_id): row 2 (week 0, "
+            "product 'P1') comes after row 1 (week 0, product 'P2')")
 
     def test_future_before_historical_rejected(self):
         records = [rec("P0", 0, [0.0]), rec("P0", 1, [0.0], 1.0)]
@@ -460,6 +496,106 @@ class TestCsvIo:
         b.write_text("product_id,week,sales,category_total,beta\nP0,1,,5.0,0.5\n")
         with pytest.raises(SchemaError, match="feature columns"):
             load_panel_csv([a, b])
+
+
+def _outcome(build, *args, **kwargs):
+    """The dataset ``build`` returns, or the type and text of its error."""
+    try:
+        return build(*args, **kwargs)
+    except TriboostError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def scenario_files(tmp_path_factory):
+    """The default scenario's train.csv and test.csv rows, and a directory
+    to write corrupted copies to."""
+    from triboost.scenario import ScenarioConfig, generate, write_scenario
+
+    root = tmp_path_factory.mktemp("reader")
+    files = write_scenario(*generate(ScenarioConfig()), root)
+    lines = [line.split(",") for line in files["test"].read_text().splitlines()]
+    return files["train"], lines, root
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(",".join(cells) + "\n" for cells in lines))
+
+
+class TestChunkedReader:
+    """``load_panel_csv`` against ``oracles.reference_load_panel_csv``, the
+    cell-by-cell reader, with chunks small enough that every file spans
+    several of them."""
+
+    @given(seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([1, 2, 3, 7, 64]),
+           files=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_split_panel_loads_as_the_reference(self, seed, chunk, files):
+        rng = np.random.default_rng(seed)
+        ds = random_panel(rng)
+        parts = np.array_split(rng.permutation(ds.n), files)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / f"part{i}.csv" for i in range(files)]
+            for path, rows in zip(paths, parts):
+                save_panel_csv(ds, path, rows=rows.tolist())
+            with mock.patch.object(panel, "_CHUNK_ROWS", chunk):
+                got = load_panel_csv(paths)
+            want = reference_load_panel_csv(paths)
+        assert got == want == ds
+        assert got.product_ids == want.product_ids
+        assert np.array_equal(got.layout.totals, want.layout.totals)
+        # one string object per product, however many rows name it
+        assert len(set(map(id, got.product_ids))) == len(set(got.product_ids))
+
+    @pytest.mark.parametrize("text", CELLS)
+    @pytest.mark.parametrize("row", [2, 95])  # the first chunk and a later one
+    def test_corrupt_cell_gives_the_reference_message(self, scenario_files, text, row):
+        train, lines, root = scenario_files
+        for col in range(len(lines[0])):
+            bad = root / f"cell-{row}-{col}.csv"
+            _write_lines(bad, corrupt(lines, ("cell", row, col, text)))
+            with mock.patch.object(panel, "_CHUNK_ROWS", 8):
+                got = _outcome(load_panel_csv, [train, bad])
+            assert got == _outcome(reference_load_panel_csv, [train, bad]), (row, col)
+
+    @given(corruption=CORRUPTIONS, chunk=st.sampled_from([1, 8, 4096]))
+    @settings(max_examples=60, deadline=None)
+    def test_corrupt_test_csv_gives_the_reference_outcome(self, scenario_files,
+                                                          corruption, chunk):
+        train, lines, root = scenario_files
+        bad = root / "corrupt.csv"
+        _write_lines(bad, corrupt(lines, corruption))
+        with mock.patch.object(panel, "_CHUNK_ROWS", chunk):
+            got = _outcome(load_panel_csv, [train, bad])
+        want = _outcome(reference_load_panel_csv, [train, bad])
+        if corruption[0] == "duplicate":
+            # the reference names rows; the loader names the two lines
+            row = corruption[1]
+            assert want[1].startswith("duplicate (week, product) rows: ")
+            assert got == (ValidationError, want[1].rsplit(" at ", 1)[0]
+                           + f" at {bad}:{row + 1} and {bad}:{row + 2}")
+        else:
+            assert got == want
+
+    def test_bad_cell_above_a_short_row_is_reported_first(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "product_id,week,sales,category_total,alpha\n"
+            "P0,0,1.0,,0.5\nP1,0,1.0,,zero\nP2,0,1.0,,0.5\nP3,0,1.0\n"
+        )
+        for chunk in (1, 2, 3, 4096):
+            with mock.patch.object(panel, "_CHUNK_ROWS", chunk):
+                with pytest.raises(ValidationError) as info:
+                    load_panel_csv(path)
+            assert str(info.value) == f"{path}:3: column 'alpha': not a number: 'zero'"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "product_id,week,sales,category_total,alpha\nP0,0,1.0,,0.5\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_panel_csv(bom) == load_panel_csv(plain)
 
 
 def test_build_week_groups_marks_future_from_m():
