@@ -5,17 +5,17 @@ Overrides are ``key=value`` strings (from repeatable CLI flags) applied on
 top of the file, so the effective mapping is reproducible from the manifest
 echo alone.
 
-Training keys: num_rounds, max_depth, learning_rate, reg_lambda,
-min_child_weight, min_gain.  Stage 1 is the defaults, then the unprefixed
-keys, then the ``stage1.`` keys.  Stages 2 and 3 are stage 1 with their own
-``stage2.`` / ``stage3.`` keys applied, key by key: with
-``stage1.num_rounds = 50`` and ``stage2.max_depth = 3``, stage 2 trains
-50 rounds at depth 3, and stage 3 is stage 1.
+Training keys: num_rounds, max_depth, learning_rate, reg_lambda.  Stage 1
+is the defaults, then the unprefixed keys, then the ``stage1.`` keys.
+Stages 2 and 3 are stage 1 with their own ``stage2.`` / ``stage3.`` keys
+applied, key by key: with ``stage1.num_rounds = 50`` and
+``stage2.max_depth = 3``, stage 2 trains 50 rounds at depth 3, and stage 3
+is stage 1.
 
 Scenario keys: num_products, num_weeks_hist, num_weeks_future,
-launch_schedule (``P4:85,P5:90``), curve (flat | linear-trend | seasonal),
-curve_base, curve_slope, curve_amplitude, curve_period,
-share_decay_on_launch, noise_sd, stage1_bias_injection, seed.
+launch_schedule (``P4:85,P5:90``, each product once), curve (flat |
+linear-trend | seasonal), curve_base, curve_slope, curve_amplitude,
+curve_period, share_decay_on_launch, noise_sd, stage1_bias_injection, seed.
 """
 
 from __future__ import annotations
@@ -143,6 +143,8 @@ def _parse_schedule(text: str) -> dict[str, int]:
             raise ValidationError(
                 f"launch_schedule entry {part!r} is not of the form PRODUCT:WEEK"
             )
+        if pid in schedule:
+            raise ValidationError(f"launch_schedule lists product {pid!r} twice")
         try:
             schedule[pid] = int(week)
         except ValueError:

@@ -54,7 +54,6 @@ PROBE_CONFIG = TrainConfig(
     max_depth=8,
     learning_rate=0.1,
     reg_lambda=0.0,
-    min_gain=0.0,
 )
 
 
@@ -290,7 +289,7 @@ def probe_config(layout: GroupLayout) -> TrainConfig:
     weeks of the same residual moves it the same way.
 
     With W <= ``2**PROBE_CONFIG.max_depth`` weeks the depth becomes W - 1.
-    At lambda 0 and min_gain 0 a node splits while its weeks' residuals
+    At lambda 0 a node splits while its weeks' residuals
     differ, so every tree then separates every pair of weeks whose
     residuals differ, and the rounds follow from that contraction at the
     smallest count c_min: ceil(ln eps / ln(1 - c_min/c_max)) with

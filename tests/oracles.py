@@ -12,12 +12,19 @@ doubles, so agreement can be asserted bitwise, not just approximately.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from triboost.errors import SchemaError, ValidationError
-from triboost.gbdt import GbdtModel, LeafNode, SplitNode, TrainConfig
+from triboost.gbdt import (
+    MODEL_FORMAT_VERSION,
+    GbdtModel,
+    LeafNode,
+    SplitNode,
+    TrainConfig,
+)
 from triboost.panel import (
     PANEL_COLUMNS,
     PanelDataset,
@@ -42,8 +49,8 @@ def seq_sum(values) -> float:
 def brute_force_split(rows, grad, hess, X, config: TrainConfig):
     """Enumerate every (feature, midpoint) candidate; return the best as a
     (feature, threshold, gain) tuple or None, under the engine's contract:
-    gain must exceed min_gain, both children must meet min_child_weight,
-    ties resolve to the lowest feature then the lowest threshold."""
+    gain must exceed 0, the midpoint must lie above the left value, ties
+    resolve to the lowest feature then the lowest threshold."""
     best = None
     for f in range(X.shape[1]):
         ordered = sorted(rows, key=lambda r: (X[r, f], r))
@@ -58,17 +65,19 @@ def brute_force_split(rows, grad, hess, X, config: TrainConfig):
             HL += float(hess[ordered[i]])
             if xs[i] == xs[i + 1]:
                 continue
-            threshold = 0.5 * (xs[i] + xs[i + 1])
+            lo, hi = float(xs[i]), float(xs[i + 1])
+            if math.isfinite(lo + hi):
+                threshold = 0.5 * (lo + hi)
+            else:  # the sum overflows: halve each value first
+                threshold = 0.5 * lo + 0.5 * hi
             if not threshold > xs[i]:  # midpoint collapsed onto left value
                 continue
             GR = G - GL
             HR = H - HL
-            if HL < config.min_child_weight or HR < config.min_child_weight:
-                continue
             gain = 0.5 * (
                 GL * GL / (HL + lam) + GR * GR / (HR + lam) - G * G / (H + lam)
             )
-            if gain <= config.min_gain:
+            if gain <= 0.0:
                 continue
             if best is None or gain > best[2]:
                 best = (f, threshold, gain)
@@ -169,6 +178,40 @@ def assert_same_model(model: GbdtModel, base, oracle_trees):
     assert len(model.trees) == len(oracle_trees)
     for r, (engine_tree, oracle_tree) in enumerate(zip(model.trees, oracle_trees)):
         assert_same_tree(engine_tree, oracle_tree, where=f"round{r}")
+
+
+# ---------------------------------------------------------------------------
+# model document
+
+
+def model_document(model: GbdtModel) -> dict:
+    """The JSON document of a model, built as nested dicts: ``save_model``
+    must write ``json.dumps(model_document(model), indent=2, sort_keys=True)``
+    plus a newline, and ``GbdtModel.from_dict`` must read it back."""
+    def node_doc(node):
+        if isinstance(node, LeafNode):
+            return {"kind": "leaf", "weight": node.weight}
+        return {
+            "kind": "split",
+            "feature": node.feature,
+            "threshold": node.threshold,
+            "left": node.left,
+            "right": node.right,
+        }
+
+    return {
+        "version": MODEL_FORMAT_VERSION,
+        "base_score": model.base_score,
+        "learning_rate": model.learning_rate,
+        "feature_count": model.feature_count,
+        "trees": [
+            {
+                "max_depth_reached": t.max_depth_reached,
+                "nodes": [node_doc(n) for n in t.nodes],
+            }
+            for t in model.trees
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

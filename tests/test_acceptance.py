@@ -306,6 +306,6 @@ def test_criterion_9_loss_curves_never_increase(report, bias_sweep):
     report(
         9,
         ok,
-        f"per-round loss deltas <= 0 at min_gain=0: max delta {worst:.3e} over "
+        f"per-round loss deltas <= 0: max delta {worst:.3e} over "
         f"{rounds} rounds (3 scenarios x 3 stages + constraint-only probe)",
     )

@@ -431,13 +431,18 @@ class TestDiagnose:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("manifest", [
-        None,
-        "{not json",
-        json.dumps({"command": "train", "config": {}}),
-        json.dumps({"config": {"stage1": {"num_rounds": True}}}),
-    ], ids=["missing", "invalid-json", "no-stage1", "bool-num-rounds"])
-    def test_unusable_manifest_is_persistence(self, ws, tmp_path, capsys, manifest):
+    @pytest.mark.parametrize("manifest, named", [
+        (None, ""),
+        ("{not json", ""),
+        (json.dumps({"command": "train", "config": {}}), ""),
+        (json.dumps({"config": {"stage1": {"num_rounds": True}}}), ""),
+        # Every manifest written while the minimum child weight and minimum
+        # gain were training keys echoes them.
+        (json.dumps({"config": {"stage1": {
+            "num_rounds": 30, "max_depth": 3, "learning_rate": 0.1, "reg_lambda": 1.0,
+            "min_child_weight": 0.0, "min_gain": 0.0}}}), "'min_child_weight'"),
+    ], ids=["missing", "invalid-json", "no-stage1", "bool-num-rounds", "removed-key"])
+    def test_unusable_manifest_is_persistence(self, ws, tmp_path, capsys, manifest, named):
         models = tmp_path / "models"
         models.mkdir()
         for name in ("model_stage1.json", "model_stage2.json", "model_stage3.json"):
@@ -448,6 +453,7 @@ class TestDiagnose:
         code, captured = self._diagnose(ws, models, out, capsys)
         assert code == 5
         assert captured.err.startswith(f"persistence: {models / 'manifest.json'}: ")
+        assert named in captured.err
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
@@ -673,8 +679,7 @@ class TestExitCodes:
             f"product '{product}' at {where}\n")
 
     @pytest.mark.parametrize("setting", [
-        "reg_lambda=inf", "reg_lambda=nan", "min_gain=nan", "min_gain=inf",
-        "min_child_weight=inf", "stage3.learning_rate=nan",
+        "reg_lambda=inf", "reg_lambda=nan", "stage3.learning_rate=nan",
     ])
     def test_non_finite_training_value_is_validation(self, ws, tmp_path,
                                                      capsys, setting):
@@ -690,6 +695,55 @@ class TestExitCodes:
         assert captured.err.startswith(f"validation: config key '{key}': not a finite")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("setting", ["min_child_weight=1", "stage2.min_gain=0"])
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_removed_training_knob_is_validation(self, ws, tmp_path, capsys,
+                                                 setting, source):
+        data = ws / "data"
+        key = setting.split("=")[0]
+        if source == "set":
+            flags = ["--set", setting]
+        else:
+            (tmp_path / "train.cfg").write_text(setting.replace("=", " = ") + "\n")
+            flags = ["--config", str(tmp_path / "train.cfg")]
+        code, captured = run([
+            "train", "--data", str(data / "train.csv"), str(data / "test.csv"),
+            "--out", str(tmp_path / "m"), *flags, *TRN,
+        ], capsys)
+        assert code == 3
+        assert captured.err == f"validation: unknown training config key '{key}'\n"
+        assert not (tmp_path / "m").exists()
+
+    def test_repeated_launch_product_is_validation(self, tmp_path, capsys):
+        # Used to exit 0 and launch P4 at week 90 only.
+        code, captured = run(["generate", "--out", str(tmp_path / "g"),
+                              "--set", "launch_schedule=P4:80,P4:90"], capsys)
+        assert code == 3
+        assert captured.err == "validation: launch_schedule lists product 'P4' twice\n"
+        assert not (tmp_path / "g").exists()
+
+    def test_features_near_the_float_maximum_train(self, ws, tmp_path, capsys):
+        # Finite features whose pairwise sums overflow: a midpoint of inf
+        # used to leave an empty leaf, and train ended in an IndexError.
+        files = []
+        for name in ("train.csv", "test.csv"):
+            with (ws / "data" / name).open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            cols = [rows[0].index(c) for c in ("f_0", "f_1", "f_2")]
+            for row in rows[1:]:
+                for i in cols:
+                    row[i] = repr(1e308 + float(row[i]) * 5e305)
+            path = tmp_path / name
+            with path.open("w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            files.append(str(path))
+        out = tmp_path / "m"
+        code, captured = run(["train", "--data", *files, "--out", str(out),
+                              "--set", "num_rounds=3"], capsys)
+        assert (code, captured.err) == (0, "")
+        assert main(["predict", "--data", *files, "--models", str(out),
+                     "--out", str(tmp_path / "p.csv")]) == 0
 
     @pytest.mark.parametrize("setting", [
         "noise_sd=nan", "noise_sd=inf", "curve_base=inf",
@@ -865,7 +919,7 @@ GENERATE_GOLDEN_SHA256 = {
     "wide/train.csv": "7b6f42ac0242deaca1e35ad45a3eddf346f4a7ef2b3ff6c45fa14b13b97f3818",
     "wide/test.csv": "9d0115776a0f8b80296824c9b3c67c98378243d9b9fcdcd32c033ce67e5d4b49",
     "wide/truth.csv": "6ddcfdfd0478e7f7bea3f118eb42c63adb6f8f0ae4cd9a512c0a5809e1afab7e",
-    "models/manifest.json": "89ed27347b68e530dc15dae71fa2bb8142dea98c95753dfb0deac64bb7385313",
+    "models/manifest.json": "430baf4cea7e665d55b0dae6f1a7f9ce641d0c07d60d034022d7c755a95b5d7e",
     "data/manifest.json": "4889ef3fa0ec1c5550852c38c8dc3326bba2067f746043a70905b555a80fcc71",
     "multi/train.csv": "9846ef2740f6b9eb639d2aa71180fa94c7b0385eb11a3ff7e3c14ebe0a1ed28d",
     "multi/test.csv": "e86577f95ad416407a102fb07525aaebf4a43474a9cc5590ed869fb7a423bf6a",

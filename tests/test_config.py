@@ -119,6 +119,14 @@ class TestPipelineConfigFromMapping:
         with pytest.raises(ValidationError, match="'stage2.rounds'"):
             pipeline_config_from_mapping({"stage2.rounds": "10"})
 
+    @pytest.mark.parametrize("key", [
+        "min_child_weight", "min_gain", "stage1.min_child_weight", "stage3.min_gain",
+    ])
+    def test_removed_knobs_are_unknown_keys(self, key):
+        # The minimum child weight and minimum gain are not training keys.
+        with pytest.raises(ValidationError, match=f"unknown training config key '{key}'"):
+            pipeline_config_from_mapping({key: "0"})
+
     def test_type_errors_name_the_key(self):
         with pytest.raises(ValidationError, match="'num_rounds'.*integer"):
             pipeline_config_from_mapping({"num_rounds": "ten"})
@@ -131,8 +139,7 @@ class TestPipelineConfigFromMapping:
 
     def test_round_trip_through_echo(self):
         cfg = TrainConfig(num_rounds=77, max_depth=4, learning_rate=0.3,
-                          reg_lambda=2.0, min_child_weight=1e-3,
-                          min_gain=0.1)
+                          reg_lambda=2.0)
         echo = {k: str(v) for k, v in train_config_echo(cfg).items()}
         assert pipeline_config_from_mapping(echo).stage1 == cfg
 
@@ -175,6 +182,11 @@ class TestScenarioConfigFromMapping:
             scenario_config_from_mapping({"launch_schedule": "P4=80"})
         with pytest.raises(ValidationError, match="not an integer"):
             scenario_config_from_mapping({"launch_schedule": "P4:soon"})
+
+    def test_repeated_schedule_product_rejected(self):
+        # Used to keep the last week silently: {"P4": 90}.
+        with pytest.raises(ValidationError, match="product 'P4' twice"):
+            scenario_config_from_mapping({"launch_schedule": "P4:80,P5:85,P4:90"})
 
     def test_empty_schedule_rejected_downstream(self):
         # parses to {} but the scenario needs a future launch

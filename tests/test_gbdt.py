@@ -12,6 +12,7 @@ from oracles import (
     brute_force_fit,
     brute_force_fit_squared_error,
     brute_force_split,
+    model_document,
 )
 from triboost import gbdt
 from triboost.errors import (
@@ -44,6 +45,9 @@ def mse_objective(y):
 # next float up rounds down onto 1.0, so no cut may fall between them.
 ONE_UP = np.nextafter(1.0, 2.0)
 TIGHT_VALUES = np.array([-0.5, 1.0, ONE_UP, np.nextafter(ONE_UP, 2.0), 1.5, 2.0])
+# Finite values whose pairwise sums overflow, the largest two adjacent.
+BIG = float(np.finfo(np.float64).max)
+NEAR_MAX_VALUES = np.array([-BIG, -1.5e308, 1e308, 1.5e308, np.nextafter(BIG, 0.0), BIG])
 
 
 def prefix(h, n):
@@ -79,14 +83,14 @@ class TestTrainConfig:
         {"learning_rate": 0.0},
         {"learning_rate": 1.5},
         {"reg_lambda": -0.1},
-        {"min_child_weight": -1.0},
-        {"min_gain": -1e-9},
         {"reg_lambda": float("nan")},
         {"reg_lambda": float("inf")},
-        {"min_child_weight": float("nan")},
-        {"min_child_weight": float("inf")},
-        {"min_gain": float("nan")},
-        {"min_gain": float("inf")},
+        {"reg_lambda": float("-inf")},
+        {"learning_rate": -0.1},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"num_rounds": -1},
+        {"max_depth": -1},
     ])
     def test_bounds(self, kwargs):
         with pytest.raises(ValidationError):
@@ -149,27 +153,10 @@ class TestFindBestSplit:
         assert got is not None
         assert (got.feature, got.threshold, got.gain) == (0, 1.5, 2.0)
 
-    def test_min_gain_rejects(self):
-        grad = np.array([-1.0, -1.0, 1.0, 1.0])
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        cfg = TrainConfig(reg_lambda=0.0, min_gain=3.0)
-        assert find_best_split(np.arange(4), grad, prefix(1.0, 4), X, cfg) is None
-
     def test_constant_feature_gives_none(self):
         grad = np.array([-1.0, 1.0])
         X = np.zeros((2, 1))
         assert find_best_split(np.arange(2), grad, prefix(1.0, 2), X, TrainConfig()) is None
-
-    def test_min_child_weight_rejects_edges(self):
-        # Only the 1-vs-3 and 3-vs-1 cuts have positive gain here, but a
-        # child hessian floor of 2 rules both out.
-        grad = np.array([-9.0, 1.0, 1.0, 1.0])
-        X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        base = TrainConfig(reg_lambda=0.0)
-        assert find_best_split(np.arange(4), grad, prefix(1.0, 4), X, base) is not None
-        cfg = TrainConfig(reg_lambda=0.0, min_child_weight=2.0)
-        got = find_best_split(np.arange(4), grad, prefix(1.0, 4), X, cfg)
-        assert got is not None and got.threshold == 1.5
 
     def test_tie_breaks_to_lowest_feature(self):
         grad = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -207,17 +194,19 @@ class TestFindBestSplit:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         h=st.sampled_from([2.0 / 7.0, 0.5, 1.0 / 3.0, 1.0, 2.0]),
         lam=st.sampled_from([0.0, 1e-3, 0.5, 2.0]),
-        min_child=st.sampled_from([0.0, 0.6, 1.0, 2.5]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_brute_force(self, n, k, seed, h, lam, min_child):
+    def test_matches_brute_force(self, n, k, seed, h, lam):
         rng = np.random.default_rng(seed)
-        # Ties, and adjacent floats whose midpoint may not be a threshold.
+        # Ties, adjacent floats whose midpoint may not be a threshold, and
+        # values near the float maximum whose sums overflow.
         X = np.where(rng.random(size=(n, k)) < 0.5,
                      rng.choice(TIGHT_VALUES, size=(n, k)),
                      np.round(rng.normal(size=(n, k)), 1))
+        X = np.where(rng.random(size=(n, k)) < 0.2,
+                     rng.choice(NEAR_MAX_VALUES, size=(n, k)), X)
         grad = rng.normal(size=n)
-        cfg = TrainConfig(reg_lambda=lam, min_child_weight=min_child)
+        cfg = TrainConfig(reg_lambda=lam)
         # An unsorted row subset with repeats: the node is the set of rows.
         subset = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
         for rows in (np.arange(n), subset):
@@ -242,10 +231,9 @@ class TestFindBestSplit:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         h=st.sampled_from([2.0 / 7.0, 0.5, 1.0 / 3.0, 1.0, 2.0]),
         lam=st.sampled_from([0.0, 1e-3, 0.5, 2.0]),
-        min_child=st.sampled_from([0.0, 0.6, 1.0, 2.5]),
     )
     @settings(max_examples=50, deadline=None)
-    def test_constant_hess_prefix_matches_general_path(self, n, k, seed, h, lam, min_child):
+    def test_constant_hess_prefix_matches_general_path(self, n, k, seed, h, lam):
         # The node's Hessian sums come from one shared prefix of any length
         # n >= c, whatever the node's rows; the oracle sums a per-row
         # Hessian along each feature's own order.  The block and columns
@@ -256,7 +244,7 @@ class TestFindBestSplit:
                      rng.choice(TIGHT_VALUES, size=(n, k)),
                      np.round(rng.normal(size=(n, k)), 1))
         grad = rng.normal(size=n)
-        cfg = TrainConfig(reg_lambda=lam, min_child_weight=min_child)
+        cfg = TrainConfig(reg_lambda=lam)
         columns = np.ascontiguousarray(X.T)
         subset = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
         for rows in (np.arange(n), subset):
@@ -303,6 +291,21 @@ class TestFindBestSplit:
         pair = np.array([[1.0], [ONE_UP]])
         assert find_best_split(np.arange(2), grad[2:4], prefix(1.0, 2), pair,
                                cfg) is None
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1e308, 1.5e308), (-1.5e308, -1e308), (1.5e308, BIG),
+    ])
+    def test_near_max_cut_lies_between_the_values(self, lo, hi):
+        # lo + hi overflows to +-inf; a threshold of inf would send every
+        # row left and leave the right child empty.
+        assert math.isinf(lo + hi)
+        X = np.array([[lo], [lo], [hi], [hi]])
+        grad = np.array([-1.0, -1.0, 1.0, 1.0])
+        got = find_best_split(np.arange(4), grad, prefix(1.0, 4), X,
+                              TrainConfig(reg_lambda=0.0))
+        assert got is not None
+        assert lo < got.threshold < hi
+        assert got.threshold == 0.5 * lo + 0.5 * hi
 
 
 class TestFit:
@@ -427,8 +430,8 @@ class TestFit:
         [0.5, 0.75, 0.5, 1.0 / 3.0],  # a new Hessian on every round
         [2.0 / 7.0],  # one Hessian throughout
     ])
-    @pytest.mark.parametrize("reg_lambda, min_child", [(0.0, 0.0), (0.5, 0.3)])
-    def test_hess_schedule_matches_general_path(self, schedule, reg_lambda, min_child):
+    @pytest.mark.parametrize("reg_lambda", [0.0, 0.5])
+    def test_hess_schedule_matches_general_path(self, schedule, reg_lambda):
         # The engine rebuilds its Hessian prefix only when the Hessian
         # changes; the oracle's general path sums one Hessian per row.
         rng = np.random.default_rng(5)
@@ -437,7 +440,7 @@ class TestFit:
                      np.round(rng.normal(size=(n, 2)), 1))
         y = X @ np.array([1.0, -2.0]) + rng.normal(size=n)
         cfg = TrainConfig(num_rounds=6, max_depth=3, learning_rate=0.5,
-                          reg_lambda=reg_lambda, min_child_weight=min_child)
+                          reg_lambda=reg_lambda)
         model = fit(X, ScheduledHessObjective(y, schedule), cfg)
         base, trees, preds = brute_force_fit(X, ScheduledHessObjective(y, schedule), cfg)
         assert_same_model(model, base, trees)
@@ -457,6 +460,31 @@ class TestFit:
         base, trees, preds = brute_force_fit_squared_error(X, y, cfg)
         assert_same_model(model, base, trees)
         assert model.predict(X).tolist() == preds
+
+    def test_near_max_features_fit_save_and_reload(self, tmp_path):
+        # Features 1e308 + v * 5e305: finite, but the sum of two overflows.
+        # Every split must leave rows on both sides, at a finite threshold.
+        rng = np.random.default_rng(12)
+        v = rng.integers(0, 100, size=(60, 3)).astype(np.float64)
+        X = 1e308 + v * 5e305
+        X[:, 2] *= -1.0
+        y = v @ np.array([1.0, -0.5, 2.0]) + rng.normal(size=60)
+        cfg = TrainConfig(num_rounds=3, max_depth=3, reg_lambda=0.0)
+        preds = np.empty(60)
+        model = fit(X, mse_objective(y), cfg, preds_out=preds)
+        base, trees, oracle_preds = brute_force_fit_squared_error(X, y, cfg)
+        assert_same_model(model, base, trees)
+        assert preds.tolist() == oracle_preds
+        splits = [nd for t in model.trees for nd in t.nodes if isinstance(nd, SplitNode)]
+        assert splits
+        for nd in splits:
+            col = X[:, nd.feature]
+            assert col.min() < nd.threshold <= col.max()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        again = load_model(path)
+        assert again == model
+        assert again.predict(X).tolist() == preds.tolist()
 
 
 class TestPredict:
@@ -501,7 +529,7 @@ class TestPredict:
 
 
 def _json_dumps_bytes(model):
-    return (json.dumps(model.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(model_document(model), indent=2, sort_keys=True) + "\n").encode()
 
 
 # Floats json writes in every form: signed zero, subnormal, near-overflow,
@@ -551,7 +579,7 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         again = load_model(path)
-        assert again.to_dict() == model.to_dict()
+        assert again == model
         assert again.predict(X).tolist() == model.predict(X).tolist()
 
     def test_save_is_deterministic(self, tmp_path):
@@ -564,8 +592,7 @@ class TestPersistence:
 
     def test_save_writes_without_a_document(self, tmp_path):
         model, _ = self._small_model()
-        with mock.patch.object(GbdtModel, "to_dict", side_effect=AssertionError), \
-                mock.patch("json.dumps", side_effect=AssertionError):
+        with mock.patch("json.dumps", side_effect=AssertionError):
             save_model(model, tmp_path / "m.json")
         assert (tmp_path / "m.json").read_bytes() == _json_dumps_bytes(model)
 
@@ -585,7 +612,7 @@ class TestPersistence:
 
     def test_dict_round_trip(self):
         model, _ = self._small_model()
-        assert GbdtModel.from_dict(model.to_dict()).to_dict() == model.to_dict()
+        assert GbdtModel.from_dict(model_document(model)) == model
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -599,7 +626,7 @@ class TestPersistence:
 
     def test_unknown_version(self):
         model, _ = self._small_model()
-        doc = model.to_dict()
+        doc = model_document(model)
         doc["version"] = 99
         with pytest.raises(PersistenceError, match="version"):
             GbdtModel.from_dict(doc)
@@ -616,7 +643,7 @@ class TestPersistence:
 
     def test_bad_child_index(self):
         model, _ = self._small_model()
-        doc = model.to_dict()
+        doc = model_document(model)
         doc["trees"][0]["nodes"] = [
             {"kind": "split", "feature": 0, "threshold": 0.0, "left": 5,
              "right": 1},

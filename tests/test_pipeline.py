@@ -111,7 +111,7 @@ class TestRunPipeline:
         b = run_pipeline(panel, PipelineConfig(stage1=FAST), n_threads=4,
                          with_diagnostics=False)
         assert np.array_equal(a.outputs.stage3, b.outputs.stage3)
-        assert a.stage3.model.to_dict() == b.stage3.model.to_dict()
+        assert a.stage3.model == b.stage3.model
 
     def test_diagnostics_optional(self, panel):
         r = run_pipeline(panel, PipelineConfig(stage1=FAST),
@@ -191,7 +191,7 @@ class TestProbeRule:
         config = probe_config(panel_layout(counts))
         assert (config.num_rounds, config.max_depth) == (rounds, depth)
         assert config.learning_rate == lr
-        assert (config.reg_lambda, config.min_gain) == (0.0, 0.0)
+        assert config.reg_lambda == 0.0
 
     def test_more_weeks_than_leaves_keep_the_base_config(self):
         # 10 rows in each of 10,000 weeks: 1/10 is the base learning rate.
