@@ -50,9 +50,7 @@ print(f"analytic vs finite-difference gradient, max rel err: {err:.2e}")
 
 # The same objective drives the booster; the recorded loss curve should
 # fall monotonically (it is asserted to in the tests).
-losses = []
-model = fit(dataset.features, objective, TrainConfig(num_rounds=80),
-            loss_history=losses)
+losses = fit(dataset.features, objective, TrainConfig(num_rounds=80)).loss_curve
 print(f"loss round 0: {losses[0]:.5f}")
 print(f"loss round 40: {losses[40]:.5f}")
 print(f"loss round 80: {losses[-1]:.5f}")

@@ -23,6 +23,7 @@ from .gbdt import (
     RegressionTree,
     SplitCandidate,
     SplitNode,
+    StageFit,
     TrainConfig,
     find_best_split,
     fit,
@@ -52,7 +53,6 @@ from .pipeline import (
     PipelineConfig,
     PipelineResult,
     ProbeResult,
-    StageFit,
     StageOutputs,
     bias_tally,
     diagnose,

@@ -5,10 +5,10 @@ Overrides are ``key=value`` strings (from repeatable CLI flags) applied on
 top of the file, so the effective mapping is reproducible from the manifest
 echo alone.
 
-Training keys: num_rounds, max_depth, learning_rate, reg_lambda.  Stage 1
-is the defaults, then the unprefixed keys, then the ``stage1.`` keys.
-Stages 2 and 3 are stage 1 with their own ``stage2.`` / ``stage3.`` keys
-applied, key by key: with ``stage1.num_rounds = 50`` and
+Training keys: num_rounds, max_depth, learning_rate, reg_lambda, each
+also under a ``stage2.`` and a ``stage3.`` prefix.  The unprefixed keys set
+stage 1 over the defaults.  Stages 2 and 3 are stage 1 with their own
+prefixed keys applied, key by key: with ``num_rounds = 50`` and
 ``stage2.max_depth = 3``, stage 2 trains 50 rounds at depth 3, and stage 3
 is stage 1.
 
@@ -93,20 +93,21 @@ _TRAIN_PARSERS = {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
 
 
 def pipeline_config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
-    """Stage 1 from the unprefixed then the ``stage1.`` keys; a later stage
-    is stage 1 with its own keys applied, or ``None`` if it sets none."""
+    """Stage 1 from the unprefixed keys; a later stage is stage 1 with its
+    own keys applied, or ``None`` if it sets none."""
     base: dict[str, object] = {}
-    per_stage: dict[str, dict[str, object]] = {s: {} for s in STAGES}
+    later: dict[str, dict[str, object]] = {s: {} for s in STAGES[1:]}
     for key in mapping:
         stage, _, field = key.partition(".")
-        target, name = (per_stage[stage], field) if stage in per_stage else (base, key)
+        target, name = (later[stage], field) if stage in later else (base, key)
         if name not in _TRAIN_PARSERS:
             raise ValidationError(f"unknown training config key {key!r}")
         target[name] = _TRAIN_PARSERS[name](mapping, key)
 
-    own, *later = per_stage.values()
-    stage1 = TrainConfig(**{**base, **own})
-    return PipelineConfig(stage1, *(replace(stage1, **keys) if keys else None for keys in later))
+    stage1 = TrainConfig(**base)
+    return PipelineConfig(
+        stage1, *(replace(stage1, **keys) if keys else None for keys in later.values())
+    )
 
 
 # Each scenario key's field: ScenarioConfig's fields and, under a

@@ -109,18 +109,24 @@ class TrainConfig:
     """Boosting hyperparameters.
 
     Note the built-in losses carry 1/m or 1/n factors inside their
-    gradients, so Hessian sums per leaf are O(rows/n) and ``reg_lambda`` is
-    on that same scale: the default 1.0 acts like a per-sample ridge of
-    roughly ``n``, i.e. a much stronger damping than the same number means
-    in engines with O(1) per-row hessians.  That damping is deliberate — it
-    keeps small leaves from chasing individual rows, at the cost of needing
-    a few hundred rounds to converge.  All defaults here are tuning choices
-    for the bundled synthetic panels, not universal constants.
+    gradients, so one row's Hessian is 2/m in stage 1 and 4/n in stages
+    2–3, and ``reg_lambda`` is in those units: it weighs as much as
+    ``reg_lambda * m / 2`` rows in stage 1 and ``reg_lambda * n / 4`` rows
+    in stages 2–3.  The default 1.0 is thus 160 and 105 rows on the
+    default panel (m = 320, n = 420), 2,205 and 1,227.5 on the benchmark's
+    wide-cascade panel (m = 4,410, n = 4,910), and 44,910 and 22,505 on its
+    tall-train panel (m = 89,820, n = 90,020): a much stronger damping than
+    the same number means in engines with O(1) per-row hessians.
+    That damping is deliberate — it keeps small leaves from chasing
+    individual rows, at the cost of needing a few hundred rounds to
+    converge.  All defaults here are tuning choices for the bundled
+    synthetic panels, not universal constants.
 
     There is no minimum child weight or minimum gain: a node splits at its
     best cut of positive gain, down to ``max_depth``.  Every row shares one
-    Hessian per round, 2/m in stage 1 and 4/n in stages 2–3, so a Hessian
-    floor would stand for a different row count in each stage.
+    Hessian per round, so a Hessian floor would stand for a different row
+    count in each stage.  ``num_rounds`` and ``max_depth`` are integers
+    (``numbers.Integral``, numpy's included, but not ``bool``).
     """
 
     num_rounds: int = 300
@@ -129,6 +135,10 @@ class TrainConfig:
     reg_lambda: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("num_rounds", "max_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.num_rounds < 1:
             raise ValidationError(f"num_rounds must be >= 1, got {self.num_rounds}")
         if self.max_depth < 1:
@@ -249,6 +259,17 @@ class GbdtModel:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PersistenceError(f"malformed model document: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class StageFit:
+    """A trained model, its predictions (:func:`fit`'s on its training
+    rows, a pipeline stage's on every row of the panel) and the loss
+    recorded before round 1 and after every round."""
+
+    preds: np.ndarray
+    model: GbdtModel
+    loss_curve: tuple[float, ...]
 
 
 def _node_from_dict(doc: dict) -> SplitNode | LeafNode:
@@ -427,23 +448,22 @@ def find_best_split(
     rows: np.ndarray,
     grad: np.ndarray,
     hess_prefix: np.ndarray,
-    features: np.ndarray,
     config: TrainConfig,
     *,
-    block: np.ndarray | None = None,
-    columns: np.ndarray | None = None,
+    block: np.ndarray,
+    columns: np.ndarray,
 ) -> SplitCandidate | None:
     """Exhaustive best split over all (feature, midpoint) candidates.
 
-    ``rows`` are the node's row indices; their order and repeats do not
-    matter.  ``block`` is the node's presorted column block: a (k, c) array
-    whose row f lists the node's c rows in stable ascending order of
-    feature f (ties keep ascending row index).  ``columns`` is ``features``
-    transposed to a contiguous (k, n) array.  Both are built here when not
-    given; ``fit`` passes them in.  The block is scanned in passes of whole
-    features, at most ``SCAN_BUDGET`` elements per pass, each pass one 2-D
-    gather, cumulative sum and gain evaluation.  Gradient prefix sums run
-    strictly left to right along each feature's order.
+    ``rows`` are the node's c row indices.  ``block`` is the node's
+    presorted column block: a (k, c) array whose row f lists those rows in
+    stable ascending order of feature f (ties keep ascending row index).
+    ``columns`` is the feature matrix transposed to a contiguous (k, n)
+    array.  ``fit`` builds both, and :func:`_grow_tree` each child's block.
+    The block is scanned in passes of whole features, at most
+    ``SCAN_BUDGET`` elements per pass, each pass one 2-D gather, cumulative
+    sum and gain evaluation.  Gradient prefix sums run strictly left to
+    right along each feature's order.
 
     Every row has the same Hessian h, and ``hess_prefix`` is
     ``np.full(n, h).cumsum()`` for any n >= c.  Every order of equal values
@@ -461,15 +481,8 @@ def find_best_split(
     where ``lo + hi`` overflows.  Returns None when no candidate qualifies
     — a valid outcome, not an error.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.shape[0] == 0:
+    if len(rows) == 0:
         raise ValidationError("cannot search for a split over zero rows")
-    X = np.asarray(features, dtype=np.float64)
-    if columns is None:
-        columns = np.ascontiguousarray(X.T)
-    if block is None:
-        rows = np.unique(rows)
-        block = rows[np.argsort(columns[:, rows], axis=1, kind="stable")]
     num_features, c = block.shape
     if c < 2:
         return None
@@ -547,7 +560,7 @@ def _grow_tree(
         split = None
         if depth < config.max_depth and rows.shape[0] >= 2:
             split = find_best_split(
-                rows, grad, hess_prefix, X, config, block=block, columns=columns
+                rows, grad, hess_prefix, config, block=block, columns=columns
             )
         idx = len(nodes)
         if split is None:
@@ -594,27 +607,16 @@ def _grow_tree(
     return RegressionTree(nodes=tuple(nodes), max_depth_reached=deepest), leaves
 
 
-def fit(
-    features: np.ndarray,
-    objective: Objective,
-    config: TrainConfig,
-    *,
-    loss_history: list[float] | None = None,
-    preds_out: np.ndarray | None = None,
-) -> GbdtModel:
+def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> StageFit:
     """Train an ensemble of ``num_rounds`` trees against ``objective``.
 
     Each round re-evaluates gradients/Hessians at the current predictions,
     grows one tree maximizing Newton gain, and advances predictions by
-    ``learning_rate`` times the leaf weights.  If ``loss_history`` is a
-    list, the objective's loss is appended before the first round and after
-    every round (length num_rounds + 1).
-
-    If ``preds_out`` is given, it must be a writable float64 vector of one
-    entry per row; ``fit`` keeps its running predictions in it, so on return
-    it holds the model's predictions on the training rows, bit-identical to
-    ``model.predict(features)``: each row gets the same ``lr * w`` additions
-    in the same order.
+    ``learning_rate`` times the leaf weights.  Returns the model, the
+    running predictions on the training rows, which are bit-identical to
+    ``model.predict(features)`` (each row gets the same ``lr * w``
+    additions in the same order), and the objective's loss before the
+    first round and after every round (length num_rounds + 1).
 
     The feature matrix is transposed once per fit into contiguous (k, n)
     columns and argsorted into a (k, n) int32 column block, which every
@@ -632,15 +634,8 @@ def fit(
     columns = np.ascontiguousarray(X.T)
     presort = np.argsort(columns, axis=1, kind="stable").astype(np.int32)
     base = float(objective.base_score())
-    preds = np.empty(n, dtype=np.float64) if preds_out is None else preds_out
-    if preds.dtype != np.float64 or preds.shape != (n,) or not preds.flags.writeable:
-        raise ValidationError(
-            f"preds_out must be a writable float64 vector of {n} rows, "
-            f"got {preds.dtype} {preds.shape}"
-        )
-    preds.fill(base)
-    if loss_history is not None:
-        loss_history.append(float(objective.loss(preds)))
+    preds = np.full(n, base)
+    losses = [float(objective.loss(preds))]
 
     trees: list[RegressionTree] = []
     hess_prefix = None  # of the last round's Hessian, rebuilt when it changes
@@ -654,12 +649,12 @@ def fit(
         for rows, w in leaves:
             preds[rows] += config.learning_rate * w
         trees.append(tree)
-        if loss_history is not None:
-            loss_history.append(float(objective.loss(preds)))
+        losses.append(float(objective.loss(preds)))
 
-    return GbdtModel(
+    model = GbdtModel(
         base_score=base,
         learning_rate=config.learning_rate,
         feature_count=X.shape[1],
         trees=tuple(trees),
     )
+    return StageFit(preds=preds, model=model, loss_curve=tuple(losses))

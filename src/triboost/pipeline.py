@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TriboostError, ValidationError
-from .gbdt import GbdtModel, TrainConfig, fit
+from .gbdt import GbdtModel, StageFit, TrainConfig, fit
 from .objectives import (
     ConstraintOnlyObjective,
     Stage1Objective,
@@ -67,16 +67,6 @@ class PipelineConfig:
 
     def resolved(self) -> tuple[TrainConfig, TrainConfig, TrainConfig]:
         return (self.stage1, self.stage2 or self.stage1, self.stage3 or self.stage1)
-
-
-@dataclass(frozen=True)
-class StageFit:
-    """One stage's trained model, its full-panel predictions, and the loss
-    recorded before round 1 and after every round."""
-
-    preds: np.ndarray
-    model: GbdtModel
-    loss_curve: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -179,18 +169,14 @@ def stage3_features(features: np.ndarray, stage2_preds: np.ndarray) -> np.ndarra
 
 
 def _fit_stage(X: np.ndarray, objective, config: TrainConfig, fit_rows: int) -> StageFit:
-    """Fit ``objective`` on the first ``fit_rows`` rows of ``X``, recording
-    the loss curve, and return predictions for every row of ``X``: ``fit``
-    leaves its own on the rows it trained on, so only the rest are
-    predicted."""
-    losses: list[float] = []
-    preds = np.empty(X.shape[0], dtype=np.float64)
-    model = fit(
-        X[:fit_rows], objective, config, loss_history=losses, preds_out=preds[:fit_rows]
-    )
-    if fit_rows < X.shape[0]:
-        preds[fit_rows:] = model.predict(X[fit_rows:])
-    return StageFit(preds=preds, model=model, loss_curve=tuple(losses))
+    """Fit ``objective`` on the first ``fit_rows`` rows of ``X`` and return
+    predictions for every row of ``X``: ``fit`` returns its own on the rows
+    it trained on, so only the rest are predicted."""
+    result = fit(X[:fit_rows], objective, config)
+    if fit_rows == X.shape[0]:
+        return result
+    rest = result.model.predict(X[fit_rows:])
+    return replace(result, preds=np.concatenate([result.preds, rest]))
 
 
 def run_stage1(dataset: PanelDataset, config: TrainConfig) -> StageFit:

@@ -30,6 +30,7 @@ Feature columns (named ``f_0..f_4`` in files):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -84,6 +85,13 @@ class CategoryCurve:
         return s
 
 
+def _check_integer(name: str, value: object) -> None:
+    """Counts, weeks and the seed are integers: numpy's too, but no float
+    and no ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Knobs of the generator.  Defaults give the standard small scenario:
@@ -103,6 +111,10 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "launch_schedule", dict(self.launch_schedule))
+        for name in ("num_products", "num_weeks_hist", "num_weeks_future", "seed"):
+            _check_integer(name, getattr(self, name))
+        for pid, week in self.launch_schedule.items():
+            _check_integer(f"launch week of {pid!r}", week)
         if self.num_products < 1:
             raise ScenarioConfigError("num_products must be >= 1")
         if self.num_weeks_hist < 1 or self.num_weeks_future < 1:

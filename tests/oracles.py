@@ -84,6 +84,17 @@ def brute_force_split(rows, grad, hess, X, config: TrainConfig):
     return best
 
 
+def node_block(rows, X) -> dict:
+    """The ``block`` and ``columns`` keywords ``fit`` passes
+    ``find_best_split`` for a node of ``rows``: the features transposed, and
+    an int32 block listing the node's rows in stable ascending order of each
+    feature."""
+    columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    node = np.unique(np.asarray(rows, dtype=np.intp))
+    block = node[np.argsort(columns[:, node], axis=1, kind="stable")]
+    return {"block": block.astype(np.int32), "columns": columns}
+
+
 def brute_force_leaf(rows, grad, hess, config: TrainConfig) -> float:
     G = seq_sum(grad[r] for r in rows)
     H = seq_sum(hess[r] for r in rows)

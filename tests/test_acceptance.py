@@ -119,7 +119,7 @@ def test_criterion_2_engine_matches_brute_force(report):
                 X, y, config
             )
             targets = StageTargets(values=y)
-            model = fit(X, Stage1Objective(targets), config)
+            model = fit(X, Stage1Objective(targets), config).model
             assert_same_model(model, base, oracle_trees)
             assert np.array_equal(model.predict(X), np.asarray(oracle_preds)), (
                 f"case {case}: predictions differ"

@@ -174,13 +174,30 @@ class TestTrain:
         data = ws / "data"
         assert main([
             "train", "--data", str(data / "train.csv"), str(data / "test.csv"),
-            "--set", "stage1.num_rounds=5", "--set", "stage2.max_depth=2",
+            "--set", "num_rounds=5", "--set", "stage2.max_depth=2",
             "--out", str(out),
         ]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["stage2"]["num_rounds"] == 5
         assert manifest["config"]["stage2"]["max_depth"] == 2
         assert len(manifest["loss_curves"]["stage2"]) == 6
+
+    @pytest.mark.parametrize("how", ["set", "config"])
+    def test_stage1_prefix_is_validation(self, ws, tmp_path, capsys, how):
+        # Stage 1 is set by the unprefixed keys alone.
+        data = ws / "data"
+        out = tmp_path / "m"
+        if how == "set":
+            key, extra = "stage1.num_rounds", ["--set", "stage1.num_rounds=5"]
+        else:
+            key, cfg = "stage1.max_depth", tmp_path / "train.cfg"
+            cfg.write_text("num_rounds = 5\nstage1.max_depth = 2\n")
+            extra = ["--config", str(cfg)]
+        code, captured = run(["train", "--data", str(data / "train.csv"),
+                              str(data / "test.csv"), "--out", str(out), *extra], capsys)
+        assert code == 3
+        assert captured.err == f"validation: unknown training config key '{key}'\n"
+        assert not out.exists()
 
 
 class TestPredict:

@@ -94,20 +94,15 @@ class TestPipelineConfigFromMapping:
         assert cfg.stage3.num_rounds == 500
         assert cfg.stage3.learning_rate == cfg.stage1.learning_rate
 
-    def test_stage1_prefix_equivalent_to_base(self):
-        a = pipeline_config_from_mapping({"stage1.max_depth": "2"})
-        b = pipeline_config_from_mapping({"max_depth": "2"})
-        assert a.stage1 == b.stage1
-
     @pytest.mark.parametrize("mapping, expected", [
-        ({"stage1.num_rounds": "50", "stage2.max_depth": "3"},
+        ({"num_rounds": "50", "stage2.max_depth": "3"},
          [(50, 4), (50, 3), (50, 4)]),
-        ({"num_rounds": "40", "stage1.num_rounds": "50", "stage3.max_depth": "2"},
-         [(50, 4), (50, 4), (50, 2)]),
+        ({"num_rounds": "40", "stage2.num_rounds": "50", "stage3.max_depth": "2"},
+         [(40, 4), (50, 4), (40, 2)]),
     ])
     def test_later_stage_is_stage1_with_its_own_keys(self, mapping, expected):
-        # A later stage is stage 1, stage1. keys included, with its own keys
-        # applied on top.
+        # A later stage is stage 1 with its own keys applied on top; stage 3
+        # does not inherit stage 2's.
         resolved = pipeline_config_from_mapping(mapping).resolved()
         assert [(c.num_rounds, c.max_depth) for c in resolved] == expected
 
@@ -121,9 +116,11 @@ class TestPipelineConfigFromMapping:
 
     @pytest.mark.parametrize("key", [
         "min_child_weight", "min_gain", "stage1.min_child_weight", "stage3.min_gain",
+        "stage1.num_rounds", "stage1.max_depth", "stage1.learning_rate", "stage1.reg_lambda",
     ])
     def test_removed_knobs_are_unknown_keys(self, key):
-        # The minimum child weight and minimum gain are not training keys.
+        # The minimum child weight and minimum gain are not training keys,
+        # and stage 1's keys are the unprefixed ones, with no stage1. alias.
         with pytest.raises(ValidationError, match=f"unknown training config key '{key}'"):
             pipeline_config_from_mapping({key: "0"})
 

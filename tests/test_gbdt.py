@@ -13,6 +13,7 @@ from oracles import (
     brute_force_fit_squared_error,
     brute_force_split,
     model_document,
+    node_block,
 )
 from triboost import gbdt
 from triboost.errors import (
@@ -99,6 +100,24 @@ class TestTrainConfig:
     def test_defaults_valid(self):
         TrainConfig()
 
+    @pytest.mark.parametrize("kwargs", [
+        {"num_rounds": 2.5}, {"num_rounds": 3.0}, {"num_rounds": True}, {"num_rounds": "3"},
+        {"max_depth": float("nan")}, {"max_depth": 2.0}, {"max_depth": False},
+    ])
+    def test_counts_must_be_integers(self, kwargs):
+        # NaN depth used to grow stumps only, and a fractional round count
+        # failed in range() once training started.
+        (name,) = kwargs
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            TrainConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        X = np.arange(8.0).reshape(-1, 1)
+        y = np.array([0.0, 1.0, 0.0, 2.0, 3.0, 1.0, 4.0, 2.0])
+        got = fit(X, mse_objective(y), TrainConfig(num_rounds=np.int64(3), max_depth=np.int32(2)))
+        want = fit(X, mse_objective(y), TrainConfig(num_rounds=3, max_depth=2))
+        assert got.model == want.model
+
 
 class TestGradHess:
     def test_shape_mismatch(self):
@@ -148,22 +167,23 @@ class TestFindBestSplit:
         # gain 1/2 * (4/2 + 4/2 - 0/4) = 2.
         grad = np.array([-1.0, -1.0, 1.0, 1.0])
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        got = find_best_split(np.arange(4), grad, prefix(1.0, 4), X,
-                              TrainConfig(reg_lambda=0.0))
+        got = find_best_split(np.arange(4), grad, prefix(1.0, 4),
+                              TrainConfig(reg_lambda=0.0), **node_block(range(4), X))
         assert got is not None
         assert (got.feature, got.threshold, got.gain) == (0, 1.5, 2.0)
 
     def test_constant_feature_gives_none(self):
         grad = np.array([-1.0, 1.0])
         X = np.zeros((2, 1))
-        assert find_best_split(np.arange(2), grad, prefix(1.0, 2), X, TrainConfig()) is None
+        assert find_best_split(np.arange(2), grad, prefix(1.0, 2), TrainConfig(),
+                               **node_block(range(2), X)) is None
 
     def test_tie_breaks_to_lowest_feature(self):
         grad = np.array([-1.0, -1.0, 1.0, 1.0])
         col = np.array([0.0, 1.0, 2.0, 3.0])
         X = np.column_stack([col, col])  # identical columns, identical gains
-        got = find_best_split(np.arange(4), grad, prefix(1.0, 4), X,
-                              TrainConfig(reg_lambda=0.0))
+        got = find_best_split(np.arange(4), grad, prefix(1.0, 4),
+                              TrainConfig(reg_lambda=0.0), **node_block(range(4), X))
         assert got.feature == 0
 
     def test_tie_breaks_to_lowest_threshold(self):
@@ -171,22 +191,23 @@ class TestFindBestSplit:
         # the same gain; the scan must keep the earlier midpoint.
         grad = np.array([1.0, -2.0, 1.0])
         X = np.array([[0.0], [1.0], [2.0]])
-        got = find_best_split(np.arange(3), grad, prefix(1.0, 3), X,
-                              TrainConfig(reg_lambda=0.0))
+        got = find_best_split(np.arange(3), grad, prefix(1.0, 3),
+                              TrainConfig(reg_lambda=0.0), **node_block(range(3), X))
         assert got.threshold == 0.5
 
     def test_row_subset_only(self):
         grad = np.array([-1.0, 5.0, -1.0, 1.0])
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
-        got = find_best_split(np.array([0, 2, 3]), grad, prefix(1.0, 4), X,
-                              TrainConfig(reg_lambda=0.0))
+        rows = np.array([0, 2, 3])
+        got = find_best_split(rows, grad, prefix(1.0, 4),
+                              TrainConfig(reg_lambda=0.0), **node_block(rows, X))
         # row 1 is outside the node; best cut separates {0,2} from {3}
         assert got.threshold == 2.5
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValidationError):
-            find_best_split(np.array([], dtype=np.intp), np.zeros(1),
-                            prefix(1.0, 1), np.zeros((1, 1)), TrainConfig())
+            find_best_split(np.array([], dtype=np.intp), np.zeros(1), prefix(1.0, 1),
+                            TrainConfig(), **node_block([], np.zeros((1, 1))))
 
     @given(
         n=st.integers(min_value=2, max_value=14),
@@ -207,18 +228,18 @@ class TestFindBestSplit:
                      rng.choice(NEAR_MAX_VALUES, size=(n, k)), X)
         grad = rng.normal(size=n)
         cfg = TrainConfig(reg_lambda=lam)
-        # An unsorted row subset with repeats: the node is the set of rows.
-        subset = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+        # The root and a random node below it.
+        subset = np.unique(rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1))))
         for rows in (np.arange(n), subset):
             # The oracle sums one Hessian per row, in each feature's order.
-            want = brute_force_split(sorted(set(rows.tolist())), grad,
-                                     np.full(n, h), X, cfg)
+            want = brute_force_split(rows.tolist(), grad, np.full(n, h), X, cfg)
             # Scan budgets: one feature per pass; passes of two features for
             # nodes of 5-6 rows (of all features for smaller ones); the
             # default, under which every node here is a single pass.
             for budget in (1, 12, gbdt.SCAN_BUDGET):
                 with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
-                    got = find_best_split(rows, grad, prefix(h, n), X, cfg)
+                    got = find_best_split(rows, grad, prefix(h, n), cfg,
+                                          **node_block(rows, X))
                 if want is None:
                     assert got is None
                 else:
@@ -236,29 +257,26 @@ class TestFindBestSplit:
     def test_constant_hess_prefix_matches_general_path(self, n, k, seed, h, lam):
         # The node's Hessian sums come from one shared prefix of any length
         # n >= c, whatever the node's rows; the oracle sums a per-row
-        # Hessian along each feature's own order.  The block and columns
-        # ``fit`` passes in (an int32 block) give the same split as those
-        # built from the rows.
+        # Hessian along each feature's own order.  The int32 block ``fit``
+        # passes in gives the same split as the same block in intp.
         rng = np.random.default_rng(seed)
         X = np.where(rng.random(size=(n, k)) < 0.5,
                      rng.choice(TIGHT_VALUES, size=(n, k)),
                      np.round(rng.normal(size=(n, k)), 1))
         grad = rng.normal(size=n)
         cfg = TrainConfig(reg_lambda=lam)
-        columns = np.ascontiguousarray(X.T)
-        subset = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
-        for rows in (np.arange(n), subset):
-            node = np.unique(rows)
+        subset = np.unique(rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1))))
+        for node in (np.arange(n), subset):
             c = node.shape[0]
             want = brute_force_split(node.tolist(), grad, np.full(n, h), X, cfg)
-            block = node[np.argsort(columns[:, node], axis=1, kind="stable")]
+            kw = node_block(node, X)
             for budget in (1, 12, gbdt.SCAN_BUDGET):
                 with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
-                    got = [find_best_split(rows, grad, prefix(h, m), X, cfg)
+                    got = [find_best_split(node, grad, prefix(h, m), cfg, **kw)
                            for m in (c, n, 2 * n + 1)]
                     got.append(find_best_split(
-                        rows, grad, prefix(h, n), X, cfg,
-                        block=block.astype(np.int32), columns=columns))
+                        node, grad, prefix(h, n), cfg,
+                        block=kw["block"].astype(np.intp), columns=kw["columns"]))
                 assert all(g == got[0] for g in got[1:])
                 if want is None:
                     assert got[0] is None
@@ -279,9 +297,11 @@ class TestFindBestSplit:
         cfg = TrainConfig(reg_lambda=0.0)
         spread = X.copy()
         spread[3:5, 0] = 2.0  # the same order with room for a midpoint
+        rows = np.arange(6)
         with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
-            got = find_best_split(np.arange(6), grad, prefix(1.0, 6), X, cfg)
-            top = find_best_split(np.arange(6), grad, prefix(1.0, 6), spread, cfg)
+            got = find_best_split(rows, grad, prefix(1.0, 6), cfg, **node_block(rows, X))
+            top = find_best_split(rows, grad, prefix(1.0, 6), cfg,
+                                  **node_block(rows, spread))
         assert (top.feature, top.threshold) == (0, 1.5)
         assert (got.feature, got.threshold, got.gain) == (1, 1.5, 3.375)
         assert got.gain < top.gain
@@ -289,8 +309,8 @@ class TestFindBestSplit:
             range(6), grad, np.ones(6), X, cfg)
         # With no other cut, the node does not split at all.
         pair = np.array([[1.0], [ONE_UP]])
-        assert find_best_split(np.arange(2), grad[2:4], prefix(1.0, 2), pair,
-                               cfg) is None
+        assert find_best_split(np.arange(2), grad[2:4], prefix(1.0, 2), cfg,
+                               **node_block(range(2), pair)) is None
 
     @pytest.mark.parametrize("lo, hi", [
         (1e308, 1.5e308), (-1.5e308, -1e308), (1.5e308, BIG),
@@ -301,8 +321,8 @@ class TestFindBestSplit:
         assert math.isinf(lo + hi)
         X = np.array([[lo], [lo], [hi], [hi]])
         grad = np.array([-1.0, -1.0, 1.0, 1.0])
-        got = find_best_split(np.arange(4), grad, prefix(1.0, 4), X,
-                              TrainConfig(reg_lambda=0.0))
+        got = find_best_split(np.arange(4), grad, prefix(1.0, 4),
+                              TrainConfig(reg_lambda=0.0), **node_block(range(4), X))
         assert got is not None
         assert lo < got.threshold < hi
         assert got.threshold == 0.5 * lo + 0.5 * hi
@@ -315,7 +335,7 @@ class TestFit:
         y = np.array([0.0, 0.0, 1.0, 1.0])
         cfg = TrainConfig(num_rounds=1, max_depth=1, learning_rate=1.0,
                           reg_lambda=0.0)
-        model = fit(X, mse_objective(y), cfg)
+        model = fit(X, mse_objective(y), cfg).model
         assert model.predict(X).tolist() == [0.0, 0.0, 1.0, 1.0]
         tree = model.trees[0]
         assert isinstance(tree.nodes[0], SplitNode)
@@ -326,7 +346,7 @@ class TestFit:
         y = np.array([0.0, 0.0, 1.0, 1.0])
         cfg = TrainConfig(num_rounds=1, max_depth=1, learning_rate=1.0,
                           reg_lambda=2.0)
-        model = fit(X, mse_objective(y), cfg)
+        model = fit(X, mse_objective(y), cfg).model
         # grads at base 0.5 are +-0.25, hessians 0.5 per row: the left leaf
         # (y=0 rows) has G = 0.5, H = 1, weight -0.5/(1+2); right mirrors.
         leaves = [nd.weight for nd in model.trees[0].nodes
@@ -336,29 +356,31 @@ class TestFit:
     def test_constant_targets_exact_at_round_zero(self):
         X = np.arange(6.0).reshape(-1, 1)
         y = np.full(6, 3.25)
-        history = []
-        model = fit(X, mse_objective(y), TrainConfig(num_rounds=3),
-                    loss_history=history)
-        assert model.base_score == 3.25
-        assert np.allclose(model.predict(X), 3.25, atol=1e-9)
-        assert history[0] == 0.0
+        result = fit(X, mse_objective(y), TrainConfig(num_rounds=3))
+        assert result.model.base_score == 3.25
+        assert np.allclose(result.model.predict(X), 3.25, atol=1e-9)
+        assert result.loss_curve[0] == 0.0
 
     def test_loss_history_length_and_descent(self):
+        # The loss curve ``fit`` returns, on squared error and on an
+        # objective whose Hessian changes between rounds (each at least the
+        # true curvature 2/40, so every round descends).
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
         y = X @ np.array([1.0, -2.0, 0.5]) + rng.normal(scale=0.1, size=40)
-        history = []
         cfg = TrainConfig(num_rounds=25, max_depth=3, reg_lambda=1e-3)
-        fit(X, mse_objective(y), cfg, loss_history=history)
-        assert len(history) == 26
-        assert all(b <= a for a, b in zip(history, history[1:]))
+        for objective in (mse_objective(y), ScheduledHessObjective(y, [0.5, 0.75, 0.1])):
+            history = fit(X, objective, cfg).loss_curve
+            assert type(history) is tuple and len(history) == 26
+            assert all(b <= a for a, b in zip(history, history[1:]))
+            assert history[-1] < history[0]
 
     def test_max_depth_bounds_leaves(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(64, 2))
         y = rng.normal(size=64)
         cfg = TrainConfig(num_rounds=2, max_depth=3, reg_lambda=1e-3)
-        model = fit(X, mse_objective(y), cfg)
+        model = fit(X, mse_objective(y), cfg).model
         for tree in model.trees:
             assert tree.leaf_count() <= 2**3
             assert tree.max_depth_reached <= 3
@@ -384,27 +406,18 @@ class TestFit:
             fit(np.zeros((3, 1)), Broken(), TrainConfig(num_rounds=1))
 
     def test_preds_out_holds_predict_bitwise(self):
+        # The running predictions ``fit`` returns are ``model.predict`` bit
+        # for bit, also when the Hessian prefix is rebuilt between rounds.
         rng = np.random.default_rng(8)
         X = np.round(rng.normal(size=(50, 3)), 1)
         y = rng.normal(size=50)
-        buffer = np.full(60, np.nan)
         cfg = TrainConfig(num_rounds=6, max_depth=3, learning_rate=0.3)
-        model = fit(X, mse_objective(y), cfg, preds_out=buffer[:50])
-        assert buffer[:50].view(np.int64).tolist() == model.predict(X).view(np.int64).tolist()
-        assert np.isnan(buffer[50:]).all()  # rows past the view are untouched
-
-    @pytest.mark.parametrize("bad", [
-        np.zeros(4), np.zeros(5, dtype=np.float32), np.zeros((5, 1)),
-    ])
-    def test_preds_out_must_fit_the_rows(self, bad):
-        with pytest.raises(ValidationError, match="preds_out"):
-            fit(np.zeros((5, 1)), mse_objective(np.zeros(5)), TrainConfig(), preds_out=bad)
-
-    def test_read_only_preds_out_rejected(self):
-        buffer = np.zeros(5)
-        buffer.setflags(write=False)
-        with pytest.raises(ValidationError, match="writable"):
-            fit(np.zeros((5, 1)), mse_objective(np.zeros(5)), TrainConfig(), preds_out=buffer)
+        for objective in (mse_objective(y), ScheduledHessObjective(y, [0.5, 0.04, 2.0])):
+            result = fit(X, objective, cfg)
+            assert result.preds.dtype == np.float64 and result.preds.shape == (50,)
+            bits = result.model.predict(X).view(np.int64).tolist()
+            assert result.preds.view(np.int64).tolist() == bits
+            assert len(result.loss_curve) == cfg.num_rounds + 1
 
     @given(
         n=st.integers(min_value=2, max_value=8),
@@ -421,7 +434,7 @@ class TestFit:
         base, trees, preds = brute_force_fit_squared_error(X, y, cfg)
         for budget in (1, gbdt.SCAN_BUDGET):
             with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
-                model = fit(X, mse_objective(y), cfg)
+                model = fit(X, mse_objective(y), cfg).model
             assert_same_model(model, base, trees)
             assert model.predict(X).tolist() == preds
 
@@ -441,7 +454,7 @@ class TestFit:
         y = X @ np.array([1.0, -2.0]) + rng.normal(size=n)
         cfg = TrainConfig(num_rounds=6, max_depth=3, learning_rate=0.5,
                           reg_lambda=reg_lambda)
-        model = fit(X, ScheduledHessObjective(y, schedule), cfg)
+        model = fit(X, ScheduledHessObjective(y, schedule), cfg).model
         base, trees, preds = brute_force_fit(X, ScheduledHessObjective(y, schedule), cfg)
         assert_same_model(model, base, trees)
         assert model.predict(X).tolist() == preds
@@ -456,7 +469,7 @@ class TestFit:
         cfg = TrainConfig(num_rounds=2, max_depth=4, learning_rate=0.5,
                           reg_lambda=0.1)
         with mock.patch.object(gbdt, "SCAN_BUDGET", budget):
-            model = fit(X, mse_objective(y), cfg)
+            model = fit(X, mse_objective(y), cfg).model
         base, trees, preds = brute_force_fit_squared_error(X, y, cfg)
         assert_same_model(model, base, trees)
         assert model.predict(X).tolist() == preds
@@ -470,8 +483,8 @@ class TestFit:
         X[:, 2] *= -1.0
         y = v @ np.array([1.0, -0.5, 2.0]) + rng.normal(size=60)
         cfg = TrainConfig(num_rounds=3, max_depth=3, reg_lambda=0.0)
-        preds = np.empty(60)
-        model = fit(X, mse_objective(y), cfg, preds_out=preds)
+        result = fit(X, mse_objective(y), cfg)
+        model, preds = result.model, result.preds
         base, trees, oracle_preds = brute_force_fit_squared_error(X, y, cfg)
         assert_same_model(model, base, trees)
         assert preds.tolist() == oracle_preds
@@ -572,7 +585,7 @@ class TestPersistence:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
-        return fit(X, mse_objective(y), TrainConfig(num_rounds=4)), X
+        return fit(X, mse_objective(y), TrainConfig(num_rounds=4)).model, X
 
     def test_round_trip_bitwise(self, tmp_path):
         model, X = self._small_model()

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_panel, random_panel
-from triboost import pipeline
+import triboost
+from triboost import gbdt, pipeline
 from triboost.errors import DegenerateRatioError, ValidationError
 from triboost.gbdt import GbdtModel, TrainConfig
 from triboost.objectives import StageTargets, pred_ratio, stage3_target
@@ -326,10 +327,10 @@ def recorded_run(default_dataset):
         pipeline.fit, pipeline._fit_stage, GbdtModel.predict,
     )
 
-    def fit(X, *args, **kwargs):
-        model = real_fit(X, *args, **kwargs)
-        fits.append((model, np.array(X)))
-        return model
+    def fit(X, *args):
+        result = real_fit(X, *args)
+        fits.append((result.model, np.array(X)))
+        return result
 
     def fit_stage(X, *args):
         result = real_fit_stage(X, *args)
@@ -367,3 +368,9 @@ class TestPredictionReuse:
         ds = default_dataset
         tail = ds.m - held_out_head.shape[0]
         assert sum(len(X) for _, X in predicts) == (ds.n - ds.m) + tail
+
+    def test_stage_fit_is_the_class_fit_returns(self, recorded_run):
+        # One class, importable from the package, gbdt and pipeline.
+        assert triboost.StageFit is gbdt.StageFit is pipeline.StageFit
+        _, stage_fits, _ = recorded_run
+        assert all(type(result) is gbdt.StageFit for _, result in stage_fits)

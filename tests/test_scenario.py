@@ -113,11 +113,33 @@ class TestConfigValidation:
             (dict(stage1_bias_injection=float("nan")), "stage1_bias_injection"),
             (dict(stage1_bias_injection=float("inf")), "stage1_bias_injection"),
             (dict(seed=-1), "seed"),
+            # Counts, weeks and the seed are integers.  A float used to pass
+            # the range checks and fail later in range() or SeedSequence; a
+            # fractional launch week put its rows on the floored week with
+            # f_2 still reading the fraction.
+            (dict(num_products=5.0), "num_products must be an integer, got 5.0"),
+            (dict(num_products=True), "num_products must be an integer"),
+            (dict(num_weeks_hist=80.0), "num_weeks_hist must be an integer"),
+            (dict(num_weeks_future=20.5), "num_weeks_future must be an integer"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (dict(seed=True), "seed must be an integer, got True"),
+            (dict(seed="7"), "seed must be an integer"),
+            (dict(launch_schedule={"P4": 80.5}), "launch week of 'P4' must be an integer"),
+            (dict(launch_schedule={"P4": 80.0}), "launch week of 'P4' must be an integer"),
         ],
     )
     def test_rejects(self, kwargs, fragment):
         with pytest.raises(ScenarioConfigError, match=fragment):
             ScenarioConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = ScenarioConfig(num_products=np.int64(5), num_weeks_hist=np.int32(80),
+                             num_weeks_future=np.int64(20), seed=np.uint8(7),
+                             launch_schedule={"P4": np.int64(80)})
+        ds, truth = generate(cfg)
+        want, want_truth = generate(ScenarioConfig())
+        assert np.array_equal(ds.features, want.features)
+        assert np.array_equal(truth.sales, want_truth.sales)
 
     def test_product_id_width_grows(self):
         cfg = ScenarioConfig(num_products=12, launch_schedule={"P11": 80})
