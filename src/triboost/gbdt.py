@@ -47,6 +47,7 @@ from .errors import (
     ObjectiveError,
     PersistenceError,
     ValidationError,
+    store_plain_numbers,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -125,8 +126,8 @@ class TrainConfig:
     There is no minimum child weight or minimum gain: a node splits at its
     best cut of positive gain, down to ``max_depth``.  Every row shares one
     Hessian per round, so a Hessian floor would stand for a different row
-    count in each stage.  ``num_rounds`` and ``max_depth`` are integers
-    (``numbers.Integral``, numpy's included, but not ``bool``).
+    count in each stage.  Number fields hold built-in ``int`` or ``float``
+    values (:func:`~triboost.errors.plain_number`).
     """
 
     num_rounds: int = 300
@@ -135,10 +136,7 @@ class TrainConfig:
     reg_lambda: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("num_rounds", "max_depth"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        store_plain_numbers(self, ValidationError)
         if self.num_rounds < 1:
             raise ValidationError(f"num_rounds must be >= 1, got {self.num_rounds}")
         if self.max_depth < 1:
@@ -199,9 +197,6 @@ class RegressionTree:
                 stack.append((node.left, rows[goes_left]))
                 stack.append((node.right, rows[~goes_left]))
         return out
-
-    def leaf_count(self) -> int:
-        return sum(1 for n in self.nodes if isinstance(n, LeafNode))
 
 
 @dataclass(frozen=True)

@@ -71,23 +71,20 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class StageOutputs:
-    """Row-aligned prediction vectors of the three passes plus the share
-    ratios and fine-tuning targets that connect passes 1 and 3."""
+    """Row-aligned predictions of the three passes plus stage 3's targets:
+    stage 1's shares, ``pred_ratio(stage1, layout)``, rescaled to the totals."""
 
     stage1: np.ndarray
     stage2: np.ndarray
     stage3: np.ndarray
-    ratios: np.ndarray
     stage3_targets: StageTargets
 
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Constraint-only training on a week-only view of the data, and the
-    number of rounds it ran."""
+    """Constraint-only training on a week-only view of the data: its gaps to
+    each week's total/count, its loss curve and the number of rounds it ran."""
 
-    weekly_preds: np.ndarray
-    weekly_targets: np.ndarray
     max_abs_gap: float
     max_rel_gap: float
     loss_curve: tuple[float, ...]
@@ -205,17 +202,16 @@ def run_stage3(
     Stage-2 predictions enter as an input column only — the targets come
     from stage-1 shares and the category totals.
     """
-    _, targets = _shares(dataset, stage1_preds)
+    targets = _shares(dataset, stage1_preds)
     X3 = stage3_features(dataset.features, stage2_preds)
     objective = Stage3Objective(dataset.layout, targets)
     return _fit_stage(X3, objective, config, dataset.n)
 
 
-def _shares(dataset: PanelDataset, stage1_preds: np.ndarray) -> tuple[np.ndarray, StageTargets]:
-    """Each row's share of its week's stage-1 prediction, and the shares
-    rescaled to the category totals: the last two fields of StageOutputs."""
-    ratios = pred_ratio(stage1_preds, dataset.layout)
-    return ratios, stage3_target(ratios, dataset.layout)
+def _shares(dataset: PanelDataset, stage1_preds: np.ndarray) -> StageTargets:
+    """Each row's share of its week's stage-1 prediction, rescaled to the
+    category totals: stage 3's targets."""
+    return stage3_target(pred_ratio(stage1_preds, dataset.layout), dataset.layout)
 
 
 def predict_stages(dataset: PanelDataset, models: Sequence[GbdtModel]) -> StageOutputs:
@@ -225,7 +221,7 @@ def predict_stages(dataset: PanelDataset, models: Sequence[GbdtModel]) -> StageO
     X = dataset.features
     s1, s2 = model1.predict(X), model2.predict(X)
     s3 = model3.predict(stage3_features(X, s2))
-    return StageOutputs(s1, s2, s3, *_shares(dataset, s1))
+    return StageOutputs(s1, s2, s3, _shares(dataset, s1))
 
 
 def _in_stage(name: str, call: Callable):
@@ -253,7 +249,7 @@ def run_pipeline(
     s1 = _in_stage(name1, lambda: run_stage1(dataset, cfg1))
     s2 = _in_stage(name2, lambda: run_stage2(dataset, s1.preds, cfg2))
     s3 = _in_stage(name3, lambda: run_stage3(dataset, s1.preds, s2.preds, cfg3))
-    outputs = StageOutputs(s1.preds, s2.preds, s3.preds, *_shares(dataset, s1.preds))
+    outputs = StageOutputs(s1.preds, s2.preds, s3.preds, _shares(dataset, s1.preds))
     report = None
     if with_diagnostics:
         report = diagnose(dataset, outputs, config)
@@ -322,8 +318,6 @@ def trivial_solution_probe(dataset: PanelDataset) -> ProbeResult:
     nonzero = targets != 0
     rel_gap = gap[nonzero] / np.abs(targets[nonzero])
     return ProbeResult(
-        weekly_preds=weekly,
-        weekly_targets=targets,
         max_abs_gap=float(np.max(gap)),
         max_rel_gap=float(np.max(rel_gap, initial=0.0)),
         loss_curve=probe.loss_curve,

@@ -30,14 +30,13 @@ Feature columns (named ``f_0..f_4`` in files):
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ScenarioConfigError
+from .errors import ScenarioConfigError, plain_number, store_plain_numbers
 from .panel import PanelDataset, _open_output, save_panel_csv
 
 _FEATURE_NAMES = ("f_0", "f_1", "f_2", "f_3", "f_4")
@@ -57,6 +56,7 @@ class CategoryCurve:
     period: float = 52.0
 
     def __post_init__(self) -> None:
+        store_plain_numbers(self, ScenarioConfigError)
         if self.kind not in CURVE_KINDS:
             raise ScenarioConfigError(
                 f"unknown curve kind {self.kind!r}, expected one of {CURVE_KINDS}"
@@ -85,13 +85,6 @@ class CategoryCurve:
         return s
 
 
-def _check_integer(name: str, value: object) -> None:
-    """Counts, weeks and the seed are integers: numpy's too, but no float
-    and no ``bool``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ScenarioConfigError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Knobs of the generator.  Defaults give the standard small scenario:
@@ -110,11 +103,12 @@ class ScenarioConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "launch_schedule", dict(self.launch_schedule))
-        for name in ("num_products", "num_weeks_hist", "num_weeks_future", "seed"):
-            _check_integer(name, getattr(self, name))
-        for pid, week in self.launch_schedule.items():
-            _check_integer(f"launch week of {pid!r}", week)
+        store_plain_numbers(self, ScenarioConfigError)
+        schedule = dict(self.launch_schedule)
+        for pid, week in schedule.items():
+            name = f"launch week of {pid!r}"
+            schedule[pid] = plain_number(name, week, "int", ScenarioConfigError)
+        object.__setattr__(self, "launch_schedule", schedule)
         if self.num_products < 1:
             raise ScenarioConfigError("num_products must be >= 1")
         if self.num_weeks_hist < 1 or self.num_weeks_future < 1:
@@ -166,15 +160,10 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """True future sales, row-aligned with the dataset's future region.
-    Held out of the dataset so nothing downstream can train on them."""
+    """True sales of the dataset's future rows in row order: ``sales[i]`` is
+    row ``m + i``'s.  Held out so nothing downstream can train on them."""
 
-    product_ids: tuple[str, ...]
-    weeks: np.ndarray
     sales: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.product_ids)
 
 
 def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
@@ -272,24 +261,20 @@ def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
         recorded_totals[row_week],
         has_sales=np.arange(row_week.size) < m,
     )
-    truth = GroundTruth(
-        product_ids=tuple(row_ids[m:]),
-        weeks=row_week[m:],
-        sales=row_sales[m:],
-    )
-    return dataset, truth
+    return dataset, GroundTruth(row_sales[m:])
 
 
 def write_scenario(
     dataset: PanelDataset, truth: GroundTruth, out_dir: str | Path
 ) -> dict[str, Path]:
-    """Write train.csv (historical rows), test.csv (future rows), and
-    truth.csv.  Loading train+test together reproduces the dataset."""
+    """Write train.csv (historical rows), test.csv (future rows) and truth.csv
+    (their keys and ``truth.sales``).  Loading train+test reproduces the dataset."""
     paths = {name: Path(out_dir) / f"{name}.csv" for name in ("train", "test", "truth")}
     save_panel_csv(dataset, paths["train"], rows=range(0, dataset.m))
     save_panel_csv(dataset, paths["test"], rows=range(dataset.m, dataset.n))
     with _open_output(paths["truth"]) as fh:
         fh.write("product_id,week,true_sales\n")
-        for pid, week, value in zip(truth.product_ids, truth.weeks, truth.sales):
+        m = dataset.m
+        for pid, week, value in zip(dataset.product_ids[m:], dataset.week_of_row[m:], truth.sales):
             fh.write(f"{pid},{int(week)},{repr(float(value))}\n")
     return paths

@@ -188,7 +188,7 @@ def test_criterion_4_rescaled_targets_sum_to_totals(report, bias_sweep):
 def test_criterion_5_ratios_invariant_to_uniform_scaling(report, bias_sweep):
     ds, result = bias_sweep[0.15]
     s1 = result.outputs.stage1
-    base_ratios = result.outputs.ratios
+    base_ratios = pred_ratio(s1, ds.layout)
     base_targets = result.outputs.stage3_targets.values
     worst_ratio = worst_target = 0.0
     for k in (0.5, 1.3, 10.0):

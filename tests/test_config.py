@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from triboost.config import (
@@ -10,6 +13,7 @@ from triboost.config import (
 )
 from triboost.errors import ValidationError
 from triboost.gbdt import TrainConfig
+from triboost.scenario import CategoryCurve, ScenarioConfig
 
 
 def write(tmp_path, text):
@@ -140,6 +144,15 @@ class TestPipelineConfigFromMapping:
         echo = {k: str(v) for k, v in train_config_echo(cfg).items()}
         assert pipeline_config_from_mapping(echo).stage1 == cfg
 
+    def test_echo_of_numpy_numbers_is_json(self):
+        # A config kept numpy scalars as given, and json.dumps of its echo
+        # raised TypeError.
+        cfg = TrainConfig(num_rounds=np.int64(7), max_depth=np.int32(3),
+                          learning_rate=np.float32(0.5), reg_lambda=np.float64(2.0))
+        assert json.dumps(train_config_echo(cfg)) == (
+            '{"num_rounds": 7, "max_depth": 3, "learning_rate": 0.5, "reg_lambda": 2.0}'
+        )
+
 
 class TestScenarioConfigFromMapping:
     def test_empty_mapping_gives_defaults(self):
@@ -200,3 +213,18 @@ class TestScenarioConfigFromMapping:
         )
         echo = {k: str(v) for k, v in scenario_config_echo(cfg).items()}
         assert scenario_config_from_mapping(echo) == cfg
+
+    def test_echo_of_numpy_numbers_is_json(self):
+        # A config kept numpy scalars as given, and json.dumps of its echo
+        # raised TypeError.
+        cfg = ScenarioConfig(
+            num_products=np.int64(5),
+            seed=np.int64(7),
+            launch_schedule={"P4": np.int32(80)},
+            noise_sd=np.float32(0.5),
+            curve=CategoryCurve(base=np.float32(500.0), period=np.int64(26)),
+        )
+        want = scenario_config_echo(
+            ScenarioConfig(noise_sd=0.5, curve=CategoryCurve(base=500.0, period=26.0))
+        )
+        assert json.dumps(scenario_config_echo(cfg)) == json.dumps(want)

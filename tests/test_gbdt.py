@@ -111,6 +111,17 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": True}, {"learning_rate": "0.1"}, {"learning_rate": None},
+        {"reg_lambda": True}, {"reg_lambda": False}, {"reg_lambda": "1"},
+    ])
+    def test_rates_must_be_numbers(self, kwargs):
+        # True passed the range checks as 1, and a string failed in them
+        # with a bare TypeError.
+        ((name, value),) = kwargs.items()
+        with pytest.raises(ValidationError, match=f"^{name} must be a number, got {value!r}$"):
+            TrainConfig(**kwargs)
+
     def test_numpy_integers_accepted(self):
         X = np.arange(8.0).reshape(-1, 1)
         y = np.array([0.0, 1.0, 0.0, 2.0, 3.0, 1.0, 4.0, 2.0])
@@ -382,7 +393,7 @@ class TestFit:
         cfg = TrainConfig(num_rounds=2, max_depth=3, reg_lambda=1e-3)
         model = fit(X, mse_objective(y), cfg).model
         for tree in model.trees:
-            assert tree.leaf_count() <= 2**3
+            assert sum(isinstance(node, LeafNode) for node in tree.nodes) <= 2**3
             assert tree.max_depth_reached <= 3
 
     def test_bad_feature_matrix(self):

@@ -86,8 +86,9 @@ class TestRunPipeline:
         out = fast_result.outputs
         for v in (out.stage1, out.stage2, out.stage3):
             assert v.shape == (panel.n,)
-        assert out.ratios.shape == (panel.n,)
+        assert pred_ratio(out.stage1, panel.layout).shape == (panel.n,)
         assert isinstance(out.stage3_targets, StageTargets)
+        assert out.stage3_targets.values.shape == (panel.n,)
 
     def test_stage_fits_carry_models_and_curves(self, fast_result):
         for fit_ in (fast_result.stage1, fast_result.stage2, fast_result.stage3):
@@ -102,7 +103,6 @@ class TestRunPipeline:
     def test_ratios_and_targets_come_from_stage1(self, panel, fast_result):
         out = fast_result.outputs
         expect = pred_ratio(out.stage1, panel.layout)
-        assert np.array_equal(out.ratios, expect)
         expect_t = stage3_target(expect, panel.layout)
         assert np.array_equal(out.stage3_targets.values, expect_t.values)
 
@@ -140,8 +140,6 @@ class TestRunPipeline:
 class TestTrivialProbe:
     def test_recovers_per_week_constants(self, panel):
         probe = trivial_solution_probe(panel)
-        assert np.array_equal(probe.weekly_targets,
-                              panel.layout.totals / panel.layout.counts)
         assert probe.max_rel_gap < 1e-9
         assert probe.max_abs_gap < 1e-8
 
@@ -306,9 +304,10 @@ class TestOnScenario:
     def test_scaled_stage1_gives_identical_stage3_targets(self, bias_sweep):
         ds, result = bias_sweep[0.15]
         s1 = result.outputs.stage1
+        ratios = pred_ratio(s1, ds.layout)
         for k in (0.5, 1.3, 10.0):
             scaled = pred_ratio(s1 * k, ds.layout)
-            assert np.max(np.abs(scaled - result.outputs.ratios)) < 1e-12
+            assert np.max(np.abs(scaled - ratios)) < 1e-12
             t = stage3_target(scaled, ds.layout)
             base = result.outputs.stage3_targets.values
             assert np.max(np.abs(t.values - base) / np.maximum(1.0, np.abs(base))) < 1e-9

@@ -5,11 +5,16 @@ from triboost.errors import PersistenceError, ScenarioConfigError
 from triboost.panel import load_panel_csv
 from triboost.scenario import (
     CategoryCurve,
-    GroundTruth,
     ScenarioConfig,
     generate,
     write_scenario,
 )
+
+
+def truth_by_key(dataset, truth):
+    """{(product, week): true sales} of the future rows."""
+    keys = zip(dataset.product_ids[dataset.m :], dataset.week_of_row[dataset.m :].tolist())
+    return dict(zip(keys, truth.sales.tolist()))
 
 
 def row_index(dataset):
@@ -69,6 +74,16 @@ class TestCurve:
         with pytest.raises(ScenarioConfigError, match=f"curve {field} must be finite"):
             CategoryCurve(**{field: value})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"base": True}, {"amplitude": True}, {"base": "5"}, {"period": "52"},
+    ])
+    def test_fields_must_be_numbers(self, kwargs):
+        # True passed as 1, and a string failed in math.isfinite with a bare
+        # TypeError.
+        ((name, value),) = kwargs.items()
+        with pytest.raises(ScenarioConfigError, match=f"^{name} must be a number, got {value!r}$"):
+            CategoryCurve(**kwargs)
+
     def test_totals_must_stay_positive(self):
         c = CategoryCurve(kind="seasonal", base=100.0, amplitude=1.5)
         with pytest.raises(ScenarioConfigError, match="positive"):
@@ -126,6 +141,12 @@ class TestConfigValidation:
             (dict(seed="7"), "seed must be an integer"),
             (dict(launch_schedule={"P4": 80.5}), "launch week of 'P4' must be an integer"),
             (dict(launch_schedule={"P4": 80.0}), "launch week of 'P4' must be an integer"),
+            # Float fields are numbers, and not bool.  True passed the range
+            # checks as 1, and a string failed in them with a bare TypeError.
+            (dict(noise_sd=True), "noise_sd must be a number, got True"),
+            (dict(noise_sd="0.1"), "noise_sd must be a number, got '0.1'"),
+            (dict(stage1_bias_injection="0.1"), "stage1_bias_injection must be a number"),
+            (dict(share_decay_on_launch=True), "share_decay_on_launch must be a number"),
         ],
     )
     def test_rejects(self, kwargs, fragment):
@@ -154,13 +175,13 @@ class TestShapes:
         assert ds.m == 320
         assert ds.n == 420
         assert ds.feature_names == ("f_0", "f_1", "f_2", "f_3", "f_4")
-        assert len(truth) == 100
-        assert truth.weeks.min() == 80 and truth.weeks.max() == 99
+        assert len(truth.sales) == 100
+        future_weeks = ds.week_of_row[ds.m :]
+        assert future_weeks.min() == 80 and future_weeks.max() == 99
 
     def test_truth_aligns_with_future_rows(self):
         ds, truth = generate(ScenarioConfig())
-        assert ds.product_ids[ds.m :] == truth.product_ids
-        assert ds.week_of_row[ds.m :].tolist() == truth.weeks.tolist()
+        assert len(truth.sales) == ds.n - ds.m
         assert ds.actuals.shape == (ds.m,)  # future rows carry no sales
 
 
@@ -189,9 +210,8 @@ class TestConservation:
         by_week: dict[int, float] = {}
         for week, sales in zip(ds.week_of_row[: ds.m].tolist(), ds.actuals.tolist()):
             by_week[week] = by_week.get(week, 0.0) + sales
-        for pid, week, value in zip(truth.product_ids, truth.weeks, truth.sales):
-            w = int(week)
-            by_week[w] = by_week.get(w, 0.0) + float(value)
+        for week, value in zip(ds.week_of_row[ds.m :].tolist(), truth.sales.tolist()):
+            by_week[week] = by_week.get(week, 0.0) + value
         for week, total in zip(ds.layout.weeks.tolist(), ds.layout.totals.tolist()):
             assert by_week[week] == total  # bitwise
 
@@ -205,23 +225,20 @@ class TestConservation:
 class TestLaunchCalibration:
     def test_entrant_takes_configured_share(self):
         ds, truth = generate(ScenarioConfig(**SMALL))
-        idx = {(p, int(w)): s for p, w, s in
-               zip(truth.product_ids, truth.weeks, truth.sales)}
+        idx = truth_by_key(ds, truth)
         total = dict(zip(ds.layout.weeks.tolist(), ds.layout.totals.tolist()))
         assert idx[("P3", 10)] / total[10] == pytest.approx(0.25, abs=1e-12)
 
     def test_incumbents_keep_the_rest(self):
         ds, truth = generate(ScenarioConfig(**SMALL))
-        idx = {(p, int(w)): s for p, w, s in
-               zip(truth.product_ids, truth.weeks, truth.sales)}
+        idx = truth_by_key(ds, truth)
         total = dict(zip(ds.layout.weeks.tolist(), ds.layout.totals.tolist()))
         incumbents = sum(idx[(p, 10)] for p in ("P0", "P1", "P2"))
         assert incumbents / total[10] == pytest.approx(0.75, abs=1e-12)
 
     def test_every_incumbent_share_drops_at_launch(self):
         ds, truth = generate(ScenarioConfig(**SMALL))
-        idx = {(p, int(w)): s for p, w, s in
-               zip(truth.product_ids, truth.weeks, truth.sales)}
+        idx = truth_by_key(ds, truth)
         before = sales_in_week(ds, 9)
         total = dict(zip(ds.layout.weeks.tolist(), ds.layout.totals.tolist()))
         for p in ("P0", "P1", "P2"):
@@ -241,8 +258,7 @@ class TestLaunchCalibration:
         week5 = sales_in_week(ds, 5)
         assert week5["P2"] / 100.0 == pytest.approx(0.25, abs=1e-12)
         assert ("P2", 4) not in row_index(ds)
-        idx = {(p, int(w)): s for p, w, s in
-               zip(truth.product_ids, truth.weeks, truth.sales)}
+        idx = truth_by_key(ds, truth)
         assert idx[("P3", 12)] / 100.0 == pytest.approx(0.25, abs=1e-12)
 
 
@@ -316,10 +332,10 @@ class TestWriteScenario:
         paths = write_scenario(ds, truth, tmp_path / "s")
         lines = paths["truth"].read_text().splitlines()
         assert lines[0] == "product_id,week,true_sales"
-        assert len(lines) == 1 + len(truth)
+        assert len(lines) == 1 + len(truth.sales)
         pid, week, value = lines[1].split(",")
-        assert pid == truth.product_ids[0]
-        assert int(week) == int(truth.weeks[0])
+        assert pid == ds.product_ids[ds.m]
+        assert int(week) == int(ds.week_of_row[ds.m])
         assert float(value) == truth.sales[0]  # repr round-trips exactly
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -335,12 +351,3 @@ class TestWriteScenario:
         blocker.write_text("")
         with pytest.raises(PersistenceError, match="cannot write"):
             write_scenario(ds, truth, blocker / "s")
-
-
-def test_ground_truth_len():
-    t = GroundTruth(
-        product_ids=("P0", "P1"),
-        weeks=np.array([5, 5]),
-        sales=np.array([1.0, 2.0]),
-    )
-    assert len(t) == 2
