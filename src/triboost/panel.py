@@ -16,7 +16,8 @@ panel; it checks row order and uniqueness on whole columns.
 :func:`load_panel_csv` and the scenario generator build their columns and
 call it.  The loader reads each CSV a chunk of rows at a time, converts
 each chunk a column at a time, keeps one string object per product id,
-and orders the rows of all its files with one stable sort.
+and orders the rows of all its files with one stable sort;
+:func:`save_panel_csv` writes the same chunks of rows, a column at a time.
 :class:`PanelRecord` is the row form, which
 :meth:`PanelDataset.from_records` unzips into columns.
 
@@ -26,6 +27,7 @@ Datasets are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import io
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -350,13 +352,17 @@ def _string_ranks(ids: Sequence[str]) -> np.ndarray:
 PANEL_COLUMNS = ("product_id", "week", "sales", "category_total")
 
 
-# Data rows parsed per chunk: a chunk's row lists and cell strings are the
-# loader's largest transient.  Loading the tall benchmark files (90,020
-# rows, 2-vCPU Xeon, tracemalloc), the traced peak is 21.6 MB for chunks of
-# 2**10 to 2**14 rows, where the sorted columns set it, and 32.7, 59.9 and
-# 82.2 MB for 2**15, 2**16 and one chunk per file.  Load times at 2**10 to
-# 2**14 (0.31-0.65 s, min and median of 9 loads) differed by less than the
-# host's noise, so the chunk sits well inside the flat range.
+# Data rows per chunk, read or written: a chunk's cell strings are the
+# largest transient of both the loader and the writer.  Loading the tall
+# benchmark files (90,020 rows, 2-vCPU Xeon, tracemalloc), the traced peak is
+# 21.6 MB for chunks of 2**10 to 2**14 rows, where the sorted columns set it,
+# and 32.7, 59.9 and 82.2 MB for 2**15, 2**16 and one chunk per file.
+# Writing the tall train.csv (89,820 rows), the peak is 2.2, 4.1 and 11.9 MB
+# at 2**10, 2**12 and 2**14 rows and 47.6 MB in one chunk (the whole-file
+# ``csv.writer`` path it replaced peaked at 34.7 MB).  Times at 2**10 to
+# 2**14 (loads 0.31-0.65 s, writes 0.29-0.34 s, min and median of 7-9 runs)
+# differed by less than the host's noise, so the chunk sits well inside the
+# flat range.
 _CHUNK_ROWS = 1 << 12
 
 
@@ -515,30 +521,45 @@ def save_panel_csv(
 
     Floats are written with ``repr`` so a reload reproduces the dataset
     field-for-field.  ``rows`` (any iterable of row indices, in any order,
-    repeats allowed) is selected first; then each column is formatted once
-    and the rows are handed to ``csv.writer.writerows`` as ``zip`` of the
-    columns, with no per-row Python loop.
+    repeats allowed) is selected first.  The rows are then written
+    ``_CHUNK_ROWS`` at a time: each column of a chunk is formatted once,
+    and each row is its cells joined by ``,`` and ended by ``\r\n``.  Only
+    a product id can need quoting, so each distinct id is quoted once by
+    :func:`_csv_field`; the bytes are those ``csv.writer`` writes, and no
+    string of the whole file is built.
     """
     idx = np.arange(dataset.n)
     if rows is not None:
         idx = idx[np.fromiter(rows, dtype=np.intp)]
     layout = dataset.layout
-    hist = idx < dataset.m
     # A historical row shows its sales, a future row its week's total: one
-    # float per row, formatted once and then split into the two columns.
+    # float per row, formatted once and written with an empty cell after it
+    # (sales) or before it (category_total).
     value = np.concatenate([dataset.actuals, layout.expand(layout.totals)[dataset.m :]])
-    text = np.array(list(map(repr, value[idx].tolist())), dtype=object)
-    columns = [
-        map(dataset.product_ids.__getitem__, idx.tolist()),
-        map(str, dataset.week_of_row[idx].tolist()),
-        np.where(hist, text, "").tolist(),
-        np.where(hist, "", text).tolist(),
-        *(map(repr, col) for col in dataset.features[idx].T.tolist()),
-    ]
+    quoted = {pid: _csv_field(pid) for pid in dict.fromkeys(dataset.product_ids)}
     with _open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*PANEL_COLUMNS, *dataset.feature_names])
-        writer.writerows(zip(*columns))
+        csv.writer(fh).writerow([*PANEL_COLUMNS, *dataset.feature_names])
+        for start in range(0, idx.size, _CHUNK_ROWS):
+            part = idx[start : start + _CHUNK_ROWS]
+            text = map(repr, value[part].tolist())
+            hist = (part < dataset.m).tolist()
+            columns = [
+                map(quoted.__getitem__, map(dataset.product_ids.__getitem__, part.tolist())),
+                map(str, dataset.week_of_row[part].tolist()),
+                [f"{t}," if h else f",{t}" for t, h in zip(text, hist)],
+                *(map(repr, col) for col in dataset.features[part].T.tolist()),
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*columns))))
+            fh.write("\r\n")
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one cell of a ``csv.writer`` row of several cells:
+    quoted, with inner quotes doubled, exactly when the writer's rule asks
+    for it."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
 
 
 def _read_csv(path: str | Path, required: Iterable[str]) -> Iterator:

@@ -14,9 +14,14 @@ only (a covariate shift), which makes a model trained on history
 systematically over- or under-forecast the future — the failure mode the
 downstream diagnostics are built to expose.
 
-Features, sales and ground truth are arrays over the (week, product) grid,
-masked to launched products; :meth:`PanelDataset.from_columns` builds the
-dataset from them.
+Products never leave the market and launches fall in distinct weeks, so the
+set of products on sale is fixed between consecutive launch weeks: sales
+are drawn one such block of weeks at a time, as (weeks, products) arrays.
+Only the two share normalisations stay per week, one 1-D sum of each
+week's contiguous row, so the bits do not depend on the blocks.  Features,
+sales and ground truth are arrays over the (week, product) grid, masked to
+launched products; :meth:`PanelDataset.from_columns` builds the dataset
+from them.
 
 Feature columns (named ``f_0..f_4`` in files):
   f_0  product age in weeks (0 at launch)
@@ -36,8 +41,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ScenarioConfigError, plain_number, store_plain_numbers
-from .panel import PanelDataset, _open_output, save_panel_csv
+from .errors import ScenarioConfigError, ValidationError, plain_number, store_plain_numbers
+from .panel import PanelDataset, _csv_field, _open_output, save_panel_csv
 
 _FEATURE_NAMES = ("f_0", "f_1", "f_2", "f_3", "f_4")
 _ATTRACT_PROXY_SD = 0.05
@@ -168,7 +173,14 @@ class GroundTruth:
 
 def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
     """Draw one scenario.  Pure function of the config: identical configs
-    give bit-identical datasets and truth."""
+    give bit-identical datasets and truth.
+
+    Weekly sales are computed one block of weeks at a time, from one launch
+    event to the next: softmax, noise, the pinning of each week's last
+    member and the recorded totals are (weeks, active) array operations,
+    and each week's two share sums are :func:`_week_sums`, as if the weeks
+    were drawn one by one.  ``truth.sales`` owns its values, so it keeps no
+    other row alive."""
     rng = np.random.default_rng(config.seed)
     P = config.num_products
     hist = config.num_weeks_hist
@@ -195,27 +207,28 @@ def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
         target = math.log(d / (1.0 - d) * mass)
         base_alpha[i] = target - drift[i] * (L / denom)
 
+    # Products never leave and launches fall in distinct weeks, so the active
+    # set is fixed from one launch event to the next (week 0 is one): each
+    # such block of weeks is a (weeks, active) array.
+    events = np.array(sorted({0} | set(config.launch_schedule.values())))
     curve = config.curve.totals(T)
     sales = np.zeros((T, P))
     recorded_totals = np.zeros(T)
-    for w in range(T):
-        active = np.nonzero(launch_week <= w)[0]
-        a = base_alpha[active] + drift[active] * (w / denom)
+    for w0, w1 in zip(events.tolist(), [*events[1:].tolist(), T]):
+        active = np.flatnonzero(launch_week <= w0)
+        a = base_alpha[active] + drift[active] * (np.arange(w0, w1) / denom)[:, None]
         ex = np.exp(a)
-        share = ex / np.sum(ex)
+        share = ex / _week_sums(ex)
         if config.noise_sd > 0:
-            share = share * np.exp(config.noise_sd * share_noise[w, active])
-            share = share / np.sum(share)
-        week_sales = share * curve[w]
-        if week_sales.shape[0] > 1:
-            # Pin the member-order sum to the curve value exactly; the
-            # correction lands on the last member and is O(ulp).
-            head = float(np.cumsum(week_sales[:-1])[-1])
-            week_sales[-1] = curve[w] - head
-        else:
-            week_sales[0] = curve[w]
-        sales[w, active] = week_sales
-        recorded_totals[w] = float(np.cumsum(sales[w, active])[-1])
+            share = share * np.exp(config.noise_sd * share_noise[w0:w1].take(active, axis=1))
+            share = share / _week_sums(share)
+        week_sales = share * curve[w0:w1, None]
+        # Pin each week's member-order sum to the curve value exactly; the
+        # correction lands on the last member and is O(ulp).
+        head = np.cumsum(week_sales[:, :-1], axis=1)[:, -1] if active.size > 1 else 0.0
+        week_sales[:, -1] = curve[w0:w1] - head
+        sales[w0:w1, active] = week_sales
+        recorded_totals[w0:w1] = np.cumsum(week_sales, axis=1)[:, -1]
 
     # One row per launched product and week, in (week, product) order,
     # which is the dataset's (week, product_id) order: ids are zero-padded.
@@ -223,9 +236,8 @@ def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
     row_week, row_product = np.nonzero(launch_week <= week_axis[:, None])
     m = int(np.count_nonzero(row_week < hist))
 
-    # Weeks since the latest launch event (week 0 is one) and until the next
-    # (the panel length when none follows).
-    events = np.array(sorted({0} | set(config.launch_schedule.values())))
+    # Weeks since the latest launch event and until the next (the panel
+    # length when none follows).
     next_event = np.searchsorted(events, week_axis, side="right")
     since_launch = week_axis - events[next_event - 1]
     to_launch = np.where(
@@ -261,20 +273,37 @@ def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
         recorded_totals[row_week],
         has_sales=np.arange(row_week.size) < m,
     )
-    return dataset, GroundTruth(row_sales[m:])
+    return dataset, GroundTruth(row_sales[m:].copy())
 
 
 def write_scenario(
     dataset: PanelDataset, truth: GroundTruth, out_dir: str | Path
 ) -> dict[str, Path]:
     """Write train.csv (historical rows), test.csv (future rows) and truth.csv
-    (their keys and ``truth.sales``).  Loading train+test reproduces the dataset."""
+    (their keys and ``truth.sales``, one line per future row, each ended by
+    ``\n``).  Loading train+test reproduces the dataset.  A truth whose
+    length is not the number of future rows is a :class:`ValidationError`,
+    raised before any file is written."""
+    m = dataset.m
+    if len(truth.sales) != dataset.n - m:
+        raise ValidationError(
+            f"truth holds {len(truth.sales)} sales, but the dataset has "
+            f"{dataset.n - m} future rows"
+        )
     paths = {name: Path(out_dir) / f"{name}.csv" for name in ("train", "test", "truth")}
-    save_panel_csv(dataset, paths["train"], rows=range(0, dataset.m))
-    save_panel_csv(dataset, paths["test"], rows=range(dataset.m, dataset.n))
+    save_panel_csv(dataset, paths["train"], rows=range(0, m))
+    save_panel_csv(dataset, paths["test"], rows=range(m, dataset.n))
+    quoted = {pid: _csv_field(pid) for pid in dict.fromkeys(dataset.product_ids[m:])}
     with _open_output(paths["truth"]) as fh:
         fh.write("product_id,week,true_sales\n")
-        m = dataset.m
-        for pid, week, value in zip(dataset.product_ids[m:], dataset.week_of_row[m:], truth.sales):
-            fh.write(f"{pid},{int(week)},{repr(float(value))}\n")
+        weeks = dataset.week_of_row[m:].tolist()
+        for pid, week, value in zip(dataset.product_ids[m:], weeks, map(float, truth.sales)):
+            fh.write(f"{quoted[pid]},{week},{value!r}\n")
     return paths
+
+
+def _week_sums(block: np.ndarray) -> np.ndarray:
+    """Each row's ``np.add.reduce`` as a column: one 1-D call per week on
+    its contiguous row, because a 2-D ``axis=1`` reduction may add in
+    another order and change the last bits."""
+    return np.fromiter(map(np.add.reduce, block), np.float64, len(block))[:, None]

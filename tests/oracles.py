@@ -33,6 +33,7 @@ from triboost.panel import (
     _parse_int,
     _read_csv,
 )
+from triboost.scenario import _ATTRACT_PROXY_SD, _FEATURE_NAMES, ScenarioConfig
 
 
 def seq_sum(values) -> float:
@@ -315,3 +316,88 @@ def reference_load_panel_csv(paths) -> PanelDataset:
         feature_names,
         [totals[i] for i in order],
     )
+
+
+# ---------------------------------------------------------------------------
+# scenario generator, one week at a time
+
+
+def reference_generate(config: ScenarioConfig) -> tuple[PanelDataset, np.ndarray]:
+    """Draw a scenario one week at a time: the same random draws and entrant
+    calibration as ``scenario.generate``, then, for each week, the softmax
+    over the products on sale, the noise, both share sums as ``np.sum`` of
+    the week's 1-D share vector, the pinning of the last member and the
+    recorded total; then every row's features with Python scalars.  Returns
+    the dataset and the future rows' true sales, which ``generate`` must
+    reproduce bit for bit."""
+    rng = np.random.default_rng(config.seed)
+    P = config.num_products
+    hist = config.num_weeks_hist
+    T = hist + config.num_weeks_future
+    pids = config.product_ids()
+    launch_week = np.zeros(P, dtype=np.intp)
+    for pid, week in config.launch_schedule.items():
+        launch_week[pids.index(pid)] = week
+
+    base_alpha = rng.normal(0.0, 0.6, P)
+    drift = rng.normal(0.0, 0.25, P)
+    proxy_noise = rng.normal(0.0, 1.0, (T, P)) * _ATTRACT_PROXY_SD
+    share_noise = rng.normal(0.0, 1.0, (T, P))
+    denom = float(T - 1) if T > 1 else 1.0
+    d = config.share_decay_on_launch
+    for pid, L in sorted(config.launch_schedule.items(), key=lambda kv: kv[1]):
+        i = pids.index(pid)
+        incumbents = [j for j in range(P) if launch_week[j] < L and j != i]
+        mass = sum(math.exp(base_alpha[j] + drift[j] * (L / denom)) for j in incumbents)
+        base_alpha[i] = math.log(d / (1.0 - d) * mass) - drift[i] * (L / denom)
+
+    curve = config.curve.totals(T)
+    sales = np.zeros((T, P))
+    recorded_totals = np.zeros(T)
+    for w in range(T):
+        active = np.nonzero(launch_week <= w)[0]
+        a = base_alpha[active] + drift[active] * (w / denom)
+        ex = np.exp(a)
+        share = ex / np.sum(ex)
+        if config.noise_sd > 0:
+            share = share * np.exp(config.noise_sd * share_noise[w, active])
+            share = share / np.sum(share)
+        week_sales = share * curve[w]
+        if week_sales.shape[0] > 1:
+            head = float(np.cumsum(week_sales[:-1])[-1])
+            week_sales[-1] = curve[w] - head
+        else:
+            week_sales[0] = curve[w]
+        sales[w, active] = week_sales
+        recorded_totals[w] = float(np.cumsum(sales[w, active])[-1])
+
+    events = sorted({0, *config.launch_schedule.values()})
+    bias = 1.0 + config.stage1_bias_injection
+    ids, weeks, features, row_sales, totals = [], [], [], [], []
+    for w in range(T):
+        later = [e for e in events if e > w]
+        for p in range(P):
+            L = int(launch_week[p])
+            if L > w:
+                continue
+            lag = 0.0 if L == w else float(sales[min(max(w - 1, 0), hist - 1), p])
+            if w >= hist:
+                lag = lag * bias
+            proxy = float(base_alpha[p]) + float(drift[p]) * (w / denom) + float(proxy_noise[w, p])
+            ids.append(pids[p])
+            weeks.append(w)
+            features.append([
+                w - L,
+                w - max(e for e in events if e <= w),
+                later[0] - w if later else T,
+                lag,
+                proxy,
+            ])
+            row_sales.append(float(sales[w, p]))
+            totals.append(float(recorded_totals[w]))
+    m = sum(1 for w in weeks if w < hist)
+    dataset = PanelDataset.from_columns(
+        ids, weeks, features, row_sales[:m] + [None] * (len(ids) - m),
+        _FEATURE_NAMES, [None] * m + totals[m:],
+    )
+    return dataset, np.array(row_sales[m:])

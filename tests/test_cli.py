@@ -955,3 +955,25 @@ def test_generated_csvs_and_train_manifest_are_golden(tmp_path, monkeypatch):
     got = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
            for name in GENERATE_GOLDEN_SHA256}
     assert got == GENERATE_GOLDEN_SHA256
+
+
+# sha256 of what `generate` writes for the benchmark's tall shape (tall-train:
+# 10 products x 10,000 weeks, one launch), recorded while `generate` still
+# drew one week at a time.  Its weeks fall in two blocks of 9 and 10
+# products; above eight numbers np.add.reduce no longer adds left to right,
+# so a share sum taken another way shows here.
+TALL_SCENARIO = ["--set", "num_products=10", "--set", "num_weeks_hist=9980",
+                 "--set", "num_weeks_future=20", "--set", "launch_schedule=P9:9980"]
+TALL_GENERATE_GOLDEN_SHA256 = {
+    "train.csv": "2fb69405e6f8065fb9cc25165544cf398601dfe55f94ba23be9f57b2e4781ca3",
+    "test.csv": "51186ee9cb432bde0cbcc01f6cb5bc4b5becb12f370e3d553845336b87445eff",
+    "truth.csv": "88cae0d13db539162fe7fc45b408a94afb08c2cae8612ef1400f7ca0317a538f",
+    "manifest.json": "fc8f1e1afeca4780d2ff136d424b5e4a75ffc1951c6790aafd96e88ad35c9696",
+}
+
+
+def test_tall_generated_csvs_are_golden(tmp_path):
+    assert main(["generate", "--out", str(tmp_path), *TALL_SCENARIO]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in TALL_GENERATE_GOLDEN_SHA256}
+    assert got == TALL_GENERATE_GOLDEN_SHA256

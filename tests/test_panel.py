@@ -388,14 +388,17 @@ class TestCsvIo:
     def test_bytes_equal_the_per_row_writer(self, tmp_path, rows):
         ds = _awkward_panel()
         if rows == "generator":
-            rows = (i for i in (8, 6, 2, 7))
             expected_rows = [8, 6, 2, 7]
         else:
             expected_rows = rows if rows is None else list(rows)
-        save_panel_csv(ds, tmp_path / "columns.csv", rows=rows)
         _save_panel_csv_by_row(ds, tmp_path / "rows.csv", rows=expected_rows)
-        got = (tmp_path / "columns.csv").read_bytes()
-        assert got == (tmp_path / "rows.csv").read_bytes()
+        expected = (tmp_path / "rows.csv").read_bytes()
+        for chunk in (panel._CHUNK_ROWS, 2):  # 2: rows cross chunk boundaries
+            given = (i for i in expected_rows) if rows == "generator" else rows
+            with mock.patch.object(panel, "_CHUNK_ROWS", chunk):
+                save_panel_csv(ds, tmp_path / "columns.csv", rows=given)
+            got = (tmp_path / "columns.csv").read_bytes()
+            assert got == expected, f"chunks of {chunk} rows"
         assert b'"a,b"' in got and b'"a""b"' in got and b'"a\nb"' in got
 
     def test_missing_column_rejected(self, tmp_path):

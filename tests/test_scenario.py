@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from triboost.errors import PersistenceError, ScenarioConfigError
+from oracles import reference_generate
+from test_panel import _awkward_panel
+from triboost.cli import main
+from triboost.errors import PersistenceError, ScenarioConfigError, ValidationError
 from triboost.panel import load_panel_csv
 from triboost.scenario import (
+    CURVE_KINDS,
     CategoryCurve,
+    GroundTruth,
     ScenarioConfig,
     generate,
     write_scenario,
@@ -184,6 +191,67 @@ class TestShapes:
         assert len(truth.sales) == ds.n - ds.m
         assert ds.actuals.shape == (ds.m,)  # future rows carry no sales
 
+    def test_truth_owns_its_sales(self):
+        # A view would keep every row's sales alive with the truth.
+        _, truth = generate(ScenarioConfig())
+        assert truth.sales.base is None
+
+
+@st.composite
+def scenario_configs(draw):
+    """Small scenarios of 2-60 products with one to three launches, at least
+    one of them in the future window, and any curve kind and noise."""
+    P = draw(st.integers(2, 60))
+    hist = draw(st.integers(1, 30))
+    T = hist + draw(st.integers(1, 8))
+    weeks = {draw(st.integers(hist, T - 1))}
+    weeks |= draw(st.sets(st.integers(1, T - 1), max_size=min(2, P - 2)))
+    entrants = draw(st.permutations(range(P)))[: len(weeks)]
+    kind = draw(st.sampled_from(CURVE_KINDS))
+    curve = CategoryCurve(
+        kind=kind,
+        base=draw(st.floats(10.0, 1000.0)),
+        slope=draw(st.floats(-0.2, 0.2)),
+        amplitude=draw(st.floats(0.0, 0.9)),
+        period=draw(st.floats(1.0, 60.0)),
+    )
+    pids = [f"P{i:0{len(str(P - 1))}d}" for i in range(P)]
+    return ScenarioConfig(
+        num_products=P,
+        num_weeks_hist=hist,
+        num_weeks_future=T - hist,
+        launch_schedule={pids[i]: w for i, w in zip(entrants, sorted(weeks))},
+        curve=curve,
+        share_decay_on_launch=draw(st.floats(0.05, 0.95)),
+        noise_sd=draw(st.sampled_from([0.0, 0.02]) | st.floats(1e-3, 0.5)),
+        stage1_bias_injection=draw(st.floats(-0.5, 0.5)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestWeekBlocks:
+    @given(config=scenario_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_week_by_week_reference(self, config):
+        ds, truth = generate(config)
+        ref, ref_truth = reference_generate(config)
+        assert ds.product_ids == ref.product_ids
+        assert np.array_equal(ds.week_of_row, ref.week_of_row)
+        assert ds.features.tobytes() == ref.features.tobytes()
+        assert ds.actuals.tobytes() == ref.actuals.tobytes()
+        assert ds.layout.totals.tobytes() == ref.layout.totals.tobytes()
+        assert truth.sales.tobytes() == ref_truth.tobytes()
+
+    def test_weeks_of_more_than_eight_products(self):
+        # Above eight members np.add.reduce adds in blocks of eight, not
+        # left to right, which per-week 1-D sums must keep.
+        config = ScenarioConfig(num_products=40, num_weeks_hist=30,
+                                launch_schedule={"P17": 3, "P39": 31})
+        ds, truth = generate(config)
+        ref, ref_truth = reference_generate(config)
+        assert ds.features.tobytes() == ref.features.tobytes()
+        assert truth.sales.tobytes() == ref_truth.tobytes()
+
 
 class TestDeterminism:
     def test_regeneration_is_bitwise_identical(self):
@@ -344,6 +412,28 @@ class TestWriteScenario:
         b = write_scenario(ds, truth, tmp_path / "b")
         for key in a:
             assert a[key].read_bytes() == b[key].read_bytes()
+
+    @pytest.mark.parametrize("keep", [5, 101, 0])
+    def test_truth_of_another_length_writes_nothing(self, tmp_path, keep):
+        ds, truth = generate(ScenarioConfig())
+        sales = np.resize(truth.sales, keep)
+        with pytest.raises(ValidationError, match=f"truth holds {keep} sales, but "
+                           "the dataset has 100 future rows"):
+            write_scenario(ds, GroundTruth(sales), tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
+    def test_ids_that_need_quoting_survive_the_cli(self, tmp_path):
+        ds = _awkward_panel()
+        paths = write_scenario(ds, GroundTruth(np.array([3.0, 3.5, 4.2])), tmp_path)
+        assert paths["truth"].read_bytes() == (
+            b'product_id,week,true_sales\n"a\nb",2,3.0\n"a""b",2,3.5\n"a,b",2,4.2\n'
+        )
+        data = ["--data", str(paths["train"]), str(paths["test"])]
+        models, preds = tmp_path / "models", tmp_path / "preds.csv"
+        assert main(["train", *data, "--out", str(models), "--set", "num_rounds=5"]) == 0
+        assert main(["predict", *data, "--models", str(models), "--out", str(preds)]) == 0
+        assert main(["evaluate", "--pred", str(preds), "--truth", str(paths["truth"]),
+                     "--out", str(tmp_path / "eval.json")]) == 0
 
     def test_unwritable_directory_is_persistence(self, tmp_path):
         ds, truth = generate(ScenarioConfig(**SMALL))
