@@ -523,7 +523,7 @@ def save_panel_csv(
     field-for-field.  ``rows`` (any iterable of row indices, in any order,
     repeats allowed) is selected first.  The rows are then written
     ``_CHUNK_ROWS`` at a time: each column of a chunk is formatted once,
-    and each row is its cells joined by ``,`` and ended by ``\r\n``.  Only
+    and each row is its cells joined by ``,`` and ended by ``\\r\\n``.  Only
     a product id can need quoting, so each distinct id is quoted once by
     :func:`_csv_field`; the bytes are those ``csv.writer`` writes, and no
     string of the whole file is built.

@@ -281,7 +281,7 @@ def write_scenario(
 ) -> dict[str, Path]:
     """Write train.csv (historical rows), test.csv (future rows) and truth.csv
     (their keys and ``truth.sales``, one line per future row, each ended by
-    ``\n``).  Loading train+test reproduces the dataset.  A truth whose
+    ``\\n``).  Loading train+test reproduces the dataset.  A truth whose
     length is not the number of future rows is a :class:`ValidationError`,
     raised before any file is written."""
     m = dataset.m
