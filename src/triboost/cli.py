@@ -29,7 +29,9 @@ from .metrics import category_adherence, product_metrics
 from .panel import (
     GroupLayout, _open_output, _parse_float, _parse_int, _read_csv, _writing, load_panel_csv,
 )
-from .pipeline import STAGES, PipelineConfig, diagnose, predict_stages, run_pipeline
+from .pipeline import (
+    STAGES, PipelineConfig, _in_stage, diagnose, predict_stages, run_pipeline,
+)
 from .scenario import generate, write_scenario
 
 MODEL_FILES = {stage: f"model_{stage}.json" for stage in STAGES}
@@ -229,10 +231,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = {"rows": len(keys)}
     for j, stage in enumerate(STAGES):
         stage_preds = np.array([preds[k][j] for k in keys])
-        report[stage] = {
+        report[stage] = _in_stage(stage, lambda: {
             **product_metrics(stage_preds, true_sales),
             "adherence": category_adherence(stage_preds, layout).to_dict(),
-        }
+        })
     report["manifest"] = {
         "command": "evaluate", "pred": args.pred, "truth": args.truth,
     }

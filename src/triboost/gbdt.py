@@ -11,10 +11,12 @@ losses in :mod:`triboost.objectives` drive the same engine as plain squared
 error.
 
 Split search is XGBoost's exact greedy algorithm on column blocks (Chen &
-Guestrin 2016, §4.1): ``fit`` argsorts the feature matrix once into a (k, n)
-block of row indices, one presorted row per feature, and every tree node
-holds its own block, a stable partition of its parent's.  A node of c rows
-thus costs O(c·k), and all its features are scanned in a few 2-D passes.
+Guestrin 2016, §4.1): ``fit`` reads the features as a C-contiguous (k, n)
+block, one row per feature (a dataset's ``features.T``, read in place),
+argsorts it once into a (k, n) block of row indices, one presorted row
+per feature, and every tree node holds its own block, a stable partition
+of its parent's.  A node of c rows thus costs O(c·k), and all its
+features are scanned in a few 2-D passes.
 
 Determinism contract: identical inputs give bit-identical models.
 Gradient prefix sums are accumulated strictly left to right along each
@@ -453,8 +455,10 @@ def find_best_split(
     ``rows`` are the node's c row indices.  ``block`` is the node's
     presorted column block: a (k, c) array whose row f lists those rows in
     stable ascending order of feature f (ties keep ascending row index).
-    ``columns`` is the feature matrix transposed to a contiguous (k, n)
-    array.  ``fit`` builds both, and :func:`_grow_tree` each child's block.
+    ``columns`` is the C-contiguous (k, n) feature block, one row per
+    feature: a dataset's own ``features.T`` where ``fit`` can read it in
+    place.  ``fit`` passes both, and :func:`_grow_tree` builds each child's
+    block.
     The block is scanned in passes of whole features, at most
     ``SCAN_BUDGET`` elements per pass, each pass one 2-D gather, cumulative
     sum and gain evaluation.  Gradient prefix sums run strictly left to
@@ -528,7 +532,6 @@ def find_best_split(
 
 
 def _grow_tree(
-    X: np.ndarray,
     columns: np.ndarray,
     presort: np.ndarray,
     grad: np.ndarray,
@@ -547,7 +550,8 @@ def _grow_tree(
     nodes: list[SplitNode | LeafNode | None] = []
     leaves: list[tuple[np.ndarray, float]] = []
     deepest = 0
-    goes_left = np.zeros(X.shape[0], dtype=bool)  # flags of the node being split
+    n = columns.shape[1]
+    goes_left = np.zeros(n, dtype=bool)  # flags of the node being split
 
     def build(rows: np.ndarray, block: np.ndarray | None, depth: int) -> int:
         nonlocal deepest
@@ -594,7 +598,7 @@ def _grow_tree(
         )
         return idx
 
-    build(np.arange(X.shape[0], dtype=np.intp), presort, 0)
+    build(np.arange(n, dtype=np.intp), presort, 0)
     # ``build`` refers to itself through its closure; break that cycle, or
     # the round's gradients, blocks and leaf rows stay alive until the
     # cyclic garbage collector happens to run.
@@ -613,24 +617,33 @@ def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> Stag
     additions in the same order), and the objective's loss before the
     first round and after every round (length num_rounds + 1).
 
-    The feature matrix is transposed once per fit into contiguous (k, n)
-    columns and argsorted into a (k, n) int32 column block, which every
-    tree partitions node by node (see :func:`_grow_tree`).  Every tree takes
-    its Hessian sums from one prefix vector of the round's Hessian, built
-    again only when that number changes (see :func:`find_best_split`).
-    Training runs on the calling thread.
+    ``features.T`` is the (k, n) column block split search reads.  When it
+    is C-contiguous, as a dataset's ``features`` is, it is read in place;
+    otherwise (a row prefix of a dataset, or a C-ordered matrix) it is
+    copied once per fit.  It is argsorted into a (k, n) int32 block of row
+    indices, which every tree partitions node by node (see
+    :func:`_grow_tree`).  Every tree takes its Hessian sums from one
+    prefix vector of the round's Hessian, built again only when that
+    number changes (see :func:`find_best_split`).  Training runs on the
+    calling thread.
+
+    Each loss is evaluated with numpy's overflow and invalid-value warnings
+    off.  A loss that is not finite, at the base score (round 0) or after
+    any round, is an :class:`ObjectiveError` naming the round: past it,
+    the gains would be NaN.
     """
-    X = np.ascontiguousarray(features, dtype=np.float64)
+    X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValidationError(f"expected a non-empty 2-D feature matrix, got {X.shape}")
-    if not np.all(np.isfinite(X)):
+    columns = np.ascontiguousarray(X.T)  # a view when X is a dataset's features
+    del X  # a converted copy of a caller's non-float64 matrix is not kept
+    if not np.all(np.isfinite(columns)):
         raise ValidationError("feature matrix contains non-finite values")
-    n = X.shape[0]
-    columns = np.ascontiguousarray(X.T)
+    k, n = columns.shape
     presort = np.argsort(columns, axis=1, kind="stable").astype(np.int32)
     base = float(objective.base_score())
     preds = np.full(n, base)
-    losses = [float(objective.loss(preds))]
+    losses = [_checked_loss(objective, preds, 0)]
 
     trees: list[RegressionTree] = []
     hess_prefix = None  # of the last round's Hessian, rebuilt when it changes
@@ -640,16 +653,30 @@ def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> Stag
             raise ObjectiveError(f"objective returned {len(gh)} gradients for {n} rows")
         if hess_prefix is None or hess_prefix[0] != gh.hess:
             hess_prefix = np.full(n, gh.hess).cumsum()
-        tree, leaves = _grow_tree(X, columns, presort, gh.grad, hess_prefix, config)
+        tree, leaves = _grow_tree(columns, presort, gh.grad, hess_prefix, config)
         for rows, w in leaves:
             preds[rows] += config.learning_rate * w
         trees.append(tree)
-        losses.append(float(objective.loss(preds)))
+        losses.append(_checked_loss(objective, preds, len(trees)))
 
     model = GbdtModel(
         base_score=base,
         learning_rate=config.learning_rate,
-        feature_count=X.shape[1],
+        feature_count=k,
         trees=tuple(trees),
     )
     return StageFit(preds=preds, model=model, loss_curve=tuple(losses))
+
+
+def _checked_loss(objective: Objective, preds: np.ndarray, rounds: int) -> float:
+    """``objective.loss(preds)`` after ``rounds`` rounds, computed with
+    numpy's overflow and invalid-value warnings off: a loss that is not
+    finite is an :class:`ObjectiveError` naming the round."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(objective.loss(preds))
+    if not math.isfinite(loss):
+        raise ObjectiveError(
+            f"loss after round {rounds} is {loss}: the targets or predictions "
+            "overflow float64"
+        )
+    return loss

@@ -19,7 +19,10 @@ def product_metrics(preds: np.ndarray, truth: np.ndarray) -> dict[str, float]:
     """MAE, RMSE, and WMAPE (= sum |error| / sum |truth|) of aligned vectors.
 
     WMAPE rather than MAPE: per-row percentage errors blow up on low-volume
-    products, weighting by actual volume does not.
+    products, weighting by actual volume does not.  The metrics are computed
+    with numpy's overflow and invalid-value warnings off; one that is not
+    finite (finite inputs whose errors or squares overflow float64) is a
+    :class:`MetricError`.
     """
     p = np.asarray(preds, dtype=np.float64)
     t = np.asarray(truth, dtype=np.float64)
@@ -29,15 +32,20 @@ def product_metrics(preds: np.ndarray, truth: np.ndarray) -> dict[str, float]:
         )
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
         raise ValidationError("non-finite values in predictions or truth")
-    err = p - t
-    abs_truth = float(np.sum(np.abs(t)))
-    if abs_truth == 0.0:
-        raise MetricError("WMAPE undefined: truth values sum to zero in absolute value")
-    return {
-        "mae": float(np.mean(np.abs(err))),
-        "rmse": float(np.sqrt(np.mean(err * err))),
-        "wmape": float(np.sum(np.abs(err)) / abs_truth),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = p - t
+        abs_truth = float(np.sum(np.abs(t)))
+        if abs_truth == 0.0:
+            raise MetricError("WMAPE undefined: truth values sum to zero in absolute value")
+        scores = {
+            "mae": float(np.mean(np.abs(err))),
+            "rmse": float(np.sqrt(np.mean(err * err))),
+            "wmape": float(np.sum(np.abs(err)) / abs_truth),
+        }
+    for name, value in (*scores.items(), ("sum of |truth|", abs_truth)):
+        if not np.isfinite(value):
+            raise MetricError(f"{name} is {value}: the errors overflow float64")
+    return scores
 
 
 @dataclass(frozen=True)

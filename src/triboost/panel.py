@@ -1,15 +1,17 @@
 """Panel data model: product-week rows, their week layout, and CSV I/O.
 
 A dataset is an ordered panel of product-week rows held as columns: product
-ids, an (n, k) feature matrix, historical sales and the week layout.  Rows
-are sorted by ``(week_index, product_id)``.  The first ``m`` rows are historical (they
-carry actual sales); the remaining rows are future rows that instead carry a
-known weekly category total.  The rows of one week are a contiguous slice
-and the coupling unit of the sum-constrained objectives;
-:meth:`GroupLayout.from_week_column` is the one routine that finds those
-slices and their category totals, and the only code that checks a future
-week's total: every row of the week must carry the same finite,
-non-negative value in the row-aligned category-total column.
+ids, the features as one C-contiguous (k, n) block (one row per feature,
+which the training engine scans in place), historical sales and the week
+layout.  Rows are sorted by ``(week_index, product_id)``.  The first ``m``
+rows are historical (they carry actual sales); the remaining rows are
+future rows that instead carry a known weekly category total.  The rows
+of one week are a contiguous slice and the coupling unit of the
+sum-constrained objectives; :meth:`GroupLayout.from_week_column` is the
+one routine that finds those slices and their category totals, and the
+only code that checks a future week's total: every row of the week must
+carry the same finite, non-negative value in the row-aligned
+category-total column.
 
 :meth:`PanelDataset.from_columns` is the one constructor that validates a
 panel; it checks row order and uniqueness on whole columns.
@@ -161,7 +163,10 @@ class PanelDataset:
     """Immutable columnar panel with its week layout and historical split.
 
     Row ``i`` is product ``product_ids[i]`` in week ``week_of_row[i]`` with
-    features ``features[i]``.  Rows ``0..m-1`` are historical and their
+    features ``features[i]``.  ``features`` is the (n, k) transpose view of
+    a read-only, C-contiguous (k, n) block, so ``features.T`` holds each
+    feature's values in one contiguous row: :func:`~triboost.gbdt.fit`
+    reads that block in place.  Rows ``0..m-1`` are historical and their
     sales are ``actuals``; rows ``m..n-1`` are future.  Construct one
     with :meth:`from_columns`, :meth:`from_records` or
     :func:`load_panel_csv`; all of them enforce every invariant through
@@ -190,7 +195,10 @@ class PanelDataset:
         """Build a dataset from row-aligned columns, the one constructor
         that validates a panel.
 
-        ``features`` is an (n, k) matrix with ``k = len(feature_names)``;
+        ``features`` is an (n, k) matrix with ``k = len(feature_names)``,
+        in any memory order; it is copied into the dataset's (k, n) block,
+        a plain copy when ``features.T`` is already C-contiguous, as the
+        loader's and the scenario generator's are;
         ``sales`` holds each historical row's sales and None on future rows;
         when the boolean column ``has_sales`` is given instead, it marks the
         historical rows, and ``sales`` is a float column whose values on
@@ -207,7 +215,7 @@ class PanelDataset:
         n = len(product_ids)
         if n == 0:
             raise ValidationError("dataset has no rows")
-        features = np.array(features, dtype=np.float64)
+        features = np.asarray(features, dtype=np.float64)
         k = len(feature_names)
         if category_totals is None:
             category_totals = [None] * n
@@ -221,7 +229,8 @@ class PanelDataset:
         weeks = np.asarray(week_of_row)
         if (i := _first(weeks < 0)) is not None:
             raise ValidationError(f"row {i}: negative week index {weeks[i]}")
-        if (i := _first(~np.isfinite(features).all(axis=1))) is not None:
+        block = np.array(features.T, order="C")  # (k, n): one row per feature
+        if (i := _first(~np.isfinite(block).all(axis=0))) is not None:
             raise ValidationError(
                 f"row {i} (product {product_ids[i]}, week {weeks[i]}): "
                 "non-finite feature value"
@@ -264,11 +273,11 @@ class PanelDataset:
             )
 
         layout = GroupLayout.from_week_column(weeks, actuals, category_totals)
-        features.setflags(write=False)
+        block.setflags(write=False)
         actuals.setflags(write=False)
         return cls(
             product_ids=tuple(product_ids),
-            features=features,
+            features=block.T,
             actuals=actuals,
             layout=layout,
             feature_names=tuple(feature_names),
@@ -410,15 +419,15 @@ def load_panel_csv(paths: str | Path | Sequence[str | Path]) -> PanelDataset:
         return PanelDataset.from_columns((), (), np.empty((0, len(feature_names))), (),
                                          feature_names)
 
-    lines, product, weeks, has_sales, sales, has_total, totals, matrix = (
-        np.concatenate(column) for column in zip(*chunks)
+    lines, product, weeks, has_sales, sales, has_total, totals, block = (
+        np.concatenate(column, axis=-1) for column in zip(*chunks)  # block: (k, rows)
     )
-    chunks.clear()  # from here on, at most two copies of the feature matrix
+    chunks.clear()  # from here on, at most two copies of the feature block
     ids = np.array(list(codes), dtype=object)
     rank = _string_ranks(ids)
     order = np.lexsort((rank[product], weeks))
-    features = matrix[order]
-    del matrix
+    features = block.take(order, axis=1).T  # from_columns copies its .T plainly
+    del block
 
     def locate(i: int) -> str:
         row = int(order[i])
@@ -445,8 +454,8 @@ def _read_panel_file(
     """Parse one panel CSV a chunk of rows at a time and append each
     chunk's columns to ``chunks``: line numbers, product codes (an id not
     yet in ``codes`` gets the next code there), weeks, sales presence and
-    values, category-total presence and values, and the (rows, features)
-    matrix.  The ``category`` cells go to ``categories``.  Returns the
+    values, category-total presence and values, and the (features, rows)
+    block.  The ``category`` cells go to ``categories``.  Returns the
     feature column names."""
     with closing(_read_csv(path, PANEL_COLUMNS)) as rows:
         header = next(rows)
@@ -469,9 +478,9 @@ def _read_panel_file(
                 weeks = np.fromiter(map(int, cells[week_i]), np.int64, n)
                 sales = _blank_or_float_column(cells[sales_i])
                 totals = _blank_or_float_column(cells[total_i])
-                matrix = np.empty((n, len(feature_cols)))
+                block = np.empty((len(feature_cols), n))
                 for j, i in enumerate(feature_cols):
-                    matrix[:, j] = np.fromiter(map(float, cells[i]), np.float64, n)
+                    block[j] = np.fromiter(map(float, cells[i]), np.float64, n)
             except (ValueError, OverflowError):
                 for lineno, row in chunk:
                     _parse_int(row[week_i], path, lineno, "week")
@@ -485,7 +494,7 @@ def _read_panel_file(
             product = np.fromiter(map(codes.__getitem__, cells[product_i]), np.intp, n)
             if category is not None:
                 categories.update(cells[category])
-            return (np.array(lines, dtype=np.int64), product, weeks, *sales, *totals, matrix)
+            return (np.array(lines, dtype=np.int64), product, weeks, *sales, *totals, block)
 
         while True:
             chunk: list[tuple[int, list[str]]] = []
@@ -547,7 +556,7 @@ def save_panel_csv(
                 map(quoted.__getitem__, map(dataset.product_ids.__getitem__, part.tolist())),
                 map(str, dataset.week_of_row[part].tolist()),
                 [f"{t}," if h else f",{t}" for t, h in zip(text, hist)],
-                *(map(repr, col) for col in dataset.features[part].T.tolist()),
+                *(map(repr, col) for col in dataset.features.T.take(part, axis=1).tolist()),
             ]
             fh.write("\r\n".join(map(",".join, zip(*columns))))
             fh.write("\r\n")

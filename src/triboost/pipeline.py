@@ -156,13 +156,18 @@ def pseudo_label_targets(dataset: PanelDataset, stage1_preds: np.ndarray) -> Sta
 
 
 def stage3_features(features: np.ndarray, stage2_preds: np.ndarray) -> np.ndarray:
-    """The dataset's features plus one column of stage-2 predictions."""
+    """The dataset's features plus one column of stage-2 predictions: the
+    (n, k + 1) transpose view of a new read-only, C-contiguous (k + 1, n)
+    block, the features' block with the stage-2 row appended, which
+    ``fit`` reads in place."""
     p = np.asarray(stage2_preds, dtype=np.float64)
     if p.shape != (features.shape[0],):
         raise ValidationError(
             f"expected {features.shape[0]} stage-2 predictions, got shape {p.shape}"
         )
-    return np.column_stack([features, p])
+    block = np.vstack([features.T, p])
+    block.setflags(write=False)
+    return block.T
 
 
 def _fit_stage(X: np.ndarray, objective, config: TrainConfig, fit_rows: int) -> StageFit:

@@ -254,7 +254,8 @@ def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
 
     age = week_axis[:, None] - launch_week
     proxy = base_alpha + drift * (week_axis / denom)[:, None] + proxy_noise
-    features = np.column_stack([
+    # One row per feature: from_columns copies this (k, rows) block as is.
+    block = np.stack([
         age[row_week, row_product],
         since_launch[row_week],
         to_launch[row_week],
@@ -267,7 +268,7 @@ def generate(config: ScenarioConfig) -> tuple[PanelDataset, GroundTruth]:
     dataset = PanelDataset.from_columns(
         row_ids,
         row_week,
-        features,
+        block.T,
         row_sales,
         _FEATURE_NAMES,
         recorded_totals[row_week],

@@ -732,6 +732,44 @@ class TestExitCodes:
         assert captured.err == f"validation: unknown training config key '{key}'\n"
         assert not (tmp_path / "m").exists()
 
+    def test_overflowing_sales_value_is_validation(self, tmp_path, capsys):
+        # A finite sales value whose squared error overflows float64 used to
+        # train with exit 0, print numpy RuntimeWarnings and write Infinity
+        # and NaN into manifest.json.
+        data = tmp_path / "data"
+        assert main(["generate", "--out", str(data)]) == 0
+        with (data / "train.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[5][rows[0].index("sales")] = "1e200"
+        with (data / "train.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "m"
+        code, captured = run(["train", "--data", str(data / "train.csv"),
+                              str(data / "test.csv"), "--out", str(out),
+                              "--set", "num_rounds=3"], capsys)
+        assert code == 3
+        assert captured.err == (
+            "validation: stage1: loss after round 0 is inf: the targets or "
+            "predictions overflow float64\n")
+        assert not (out / "manifest.json").exists()
+
+    def test_overflowing_prediction_is_validation(self, ws, tmp_path, capsys):
+        # A stage-1 prediction of 1e200 used to give exit 0 and a report
+        # holding "rmse": Infinity.
+        with (ws / "preds.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[-1][rows[0].index("stage1")] = "1e200"
+        preds = tmp_path / "p.csv"
+        with preds.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "e.json"
+        code, captured = run(["evaluate", "--pred", str(preds), "--truth",
+                              str(ws / "data" / "truth.csv"), "--out", str(out)], capsys)
+        assert code == 3
+        assert captured.err == (
+            "validation: stage1: rmse is inf: the errors overflow float64\n")
+        assert not out.exists()
+
     def test_repeated_launch_product_is_validation(self, tmp_path, capsys):
         # Used to exit 0 and launch P4 at week 90 only.
         code, captured = run(["generate", "--out", str(tmp_path / "g"),

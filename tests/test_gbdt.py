@@ -1,5 +1,8 @@
 import json
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -509,6 +512,82 @@ class TestFit:
         again = load_model(path)
         assert again == model
         assert again.predict(X).tolist() == preds.tolist()
+
+
+def _layouts(X):
+    """``X`` C-ordered, column-major, and as every other column of a wider
+    C-ordered matrix, a strided view."""
+    wide = np.zeros((X.shape[0], 2 * X.shape[1]))
+    wide[:, ::2] = X
+    return {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X), "strided": wide[:, ::2]}
+
+
+class TestFitLayout:
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        k=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_model_in_every_memory_layout(self, n, k, seed):
+        # fit reads a column-major matrix in place and copies the others;
+        # the bytes of the model, the predictions and the loss curve must
+        # not depend on which.  Values come from a small set, so ties occur.
+        rng = np.random.default_rng(seed)
+        X = rng.choice(np.append(TIGHT_VALUES, [0.0, -3.0]), size=(n, k))
+        y = rng.normal(size=n)
+        cfg = TrainConfig(num_rounds=3, max_depth=3, learning_rate=0.5, reg_lambda=0.1)
+        results = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, features in _layouts(X).items():
+                assert np.array_equal(features, X)
+                result = fit(features, mse_objective(y), cfg)
+                save_model(result.model, Path(tmp) / "model.json")
+                saved = (Path(tmp) / "model.json").read_bytes()
+                results[name] = (saved, result.preds.tobytes(), result.loss_curve)
+        assert results["C"] == results["F"] == results["strided"]
+
+    def test_column_major_matrix_is_not_copied(self):
+        # A one-round fit on a 20,000 x 5 column-major matrix reads it in
+        # place; on the C-ordered copy it first lays out a (5, 20,000) block.
+        rng = np.random.default_rng(2)
+        X = np.asfortranarray(rng.normal(size=(20_000, 5)))
+        X_c = np.ascontiguousarray(X)
+        objective = mse_objective(rng.normal(size=20_000))
+        cfg = TrainConfig(num_rounds=1)
+        fit(X, objective, cfg)  # warm up: first-call allocations trace in neither
+        peaks = {}
+        for name, features in (("F", X), ("C", X_c)):
+            tracemalloc.start()
+            try:
+                fit(features, objective, cfg)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["C"] - peaks["F"] >= 0.9 * X.nbytes
+
+
+class TestFitLossCheck:
+    def test_overflowing_initial_loss_is_objective_error(self):
+        # A finite target of 1e200 squares to inf: the loss at the base
+        # score is not finite, and no RuntimeWarning escapes.
+        X = np.arange(4.0).reshape(-1, 1)
+        with pytest.raises(ObjectiveError, match="loss after round 0 is inf"):
+            fit(X, mse_objective([0.0, 1.0, 2.0, 1e200]), TrainConfig(num_rounds=2))
+
+    def test_non_finite_loss_names_its_round(self):
+        class NanFromRoundThree:
+            inner = mse_objective(np.arange(6.0))
+            base_score, grad_hess = inner.base_score, inner.grad_hess
+            losses = 0
+
+            def loss(self, preds):
+                self.losses += 1  # the first is round 0's
+                return math.nan if self.losses > 3 else self.inner.loss(preds)
+
+        X = np.arange(6.0).reshape(-1, 1)
+        with pytest.raises(ObjectiveError, match="loss after round 3 is nan"):
+            fit(X, NanFromRoundThree(), TrainConfig(num_rounds=5))
 
 
 class TestPredict:

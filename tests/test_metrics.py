@@ -41,6 +41,26 @@ class TestProductMetrics:
         with pytest.raises(ValidationError, match="non-finite"):
             product_metrics(np.array([np.inf]), np.array([1.0]))
 
+    @pytest.mark.parametrize("preds, truth, named", [
+        ([1e200, 1.0], [1.0, 1.0], "rmse is inf"),  # the squared error overflows
+        ([1e308, 1.0], [-1e308, 1.0], "mae is inf"),  # so does the error itself
+        ([1e308, 1e308], [1e308, 1e308], r"sum of \|truth\| is inf"),
+    ])
+    def test_overflowing_metric_rejected(self, preds, truth, named):
+        # Finite inputs whose metric overflows: no RuntimeWarning, and no
+        # Infinity for the report's JSON.
+        with pytest.raises(MetricError, match=named):
+            product_metrics(np.array(preds), np.array(truth))
+
+    def test_large_finite_metrics_keep_their_bits(self):
+        p, t = np.array([1e150, 3.0]), np.array([1.0, 2.0])
+        err = p - t
+        assert product_metrics(p, t) == {
+            "mae": float(np.mean(np.abs(err))),
+            "rmse": float(np.sqrt(np.mean(err * err))),
+            "wmape": float(np.sum(np.abs(err)) / 3.0),
+        }
+
 
 @pytest.fixture()
 def panel():

@@ -205,6 +205,48 @@ class TestFromColumns:
             PanelDataset.from_columns(feature_names=["f_0"], **columns)
 
 
+def assert_block_layout(features):
+    """A dataset's features: the read-only (n, k) transpose view of a
+    C-contiguous (k, n) block, which fit reads without a copy."""
+    assert features.T.flags.c_contiguous
+    assert not features.flags.writeable and not features.T.flags.writeable
+
+
+class TestFeatureLayout:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_from_columns_copies_any_order_into_the_block(self, order):
+        ds = make_panel({0: [1.25, 2.5], 3: [0.1, 0.2, 0.3]}, {4: (2, 10.7)},
+                        num_features=3)
+        features = np.array(ds.features, order=order)
+        sales = ds.actuals.tolist() + [None] * (ds.n - ds.m)
+        again = PanelDataset.from_columns(
+            ds.product_ids, ds.week_of_row, features, sales, ds.feature_names,
+            [None] * ds.m + [10.7, 10.7],
+        )
+        assert_block_layout(again.features)
+        assert again == ds and not np.shares_memory(again.features, features)
+
+    def test_load_panel_csv_across_chunks(self, tmp_path):
+        ds = make_panel({0: [1.0, 2.0, 3.0], 1: [4.0, 5.0]}, {2: (3, 9.0)},
+                        num_features=3)
+        save_panel_csv(ds, tmp_path / "p.csv", rows=reversed(range(ds.n)))
+        with mock.patch.object(panel, "_CHUNK_ROWS", 2):
+            loaded = load_panel_csv(tmp_path / "p.csv")
+        assert_block_layout(loaded.features)
+        assert loaded == ds
+
+    def test_generate(self):
+        from triboost.scenario import ScenarioConfig, generate
+
+        assert_block_layout(generate(ScenarioConfig())[0].features)
+
+    def test_stage3_features(self):
+        from triboost.pipeline import stage3_features
+
+        ds = make_panel({0: [1.0, 2.0], 1: [3.0]}, {2: (2, 4.0)})
+        assert_block_layout(stage3_features(ds.features, np.arange(ds.n, dtype=float)))
+
+
 class TestWeekGroups:
     def test_historical_total_is_member_order_sum(self):
         # 0.1 + 0.2 + 0.3 left-to-right differs in the last bit from other
