@@ -7,6 +7,7 @@ total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ def product_metrics(preds: np.ndarray, truth: np.ndarray) -> dict[str, float]:
     WMAPE rather than MAPE: per-row percentage errors blow up on low-volume
     products, weighting by actual volume does not.  The metrics are computed
     with numpy's overflow and invalid-value warnings off; one that is not
-    finite (finite inputs whose errors or squares overflow float64) is a
-    :class:`MetricError`.
+    finite (finite inputs whose errors or squares overflow float64), or a
+    sum of |truth| that is zero or overflows, is a :class:`MetricError`.
     """
     p = np.asarray(preds, dtype=np.float64)
     t = np.asarray(truth, dtype=np.float64)
@@ -35,15 +36,17 @@ def product_metrics(preds: np.ndarray, truth: np.ndarray) -> dict[str, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         err = p - t
         abs_truth = float(np.sum(np.abs(t)))
-        if abs_truth == 0.0:
-            raise MetricError("WMAPE undefined: truth values sum to zero in absolute value")
+        if not 0.0 < abs_truth < math.inf:
+            raise MetricError(
+                f"WMAPE undefined: truth values sum to {abs_truth} in absolute value"
+            )
         scores = {
             "mae": float(np.mean(np.abs(err))),
             "rmse": float(np.sqrt(np.mean(err * err))),
             "wmape": float(np.sum(np.abs(err)) / abs_truth),
         }
-    for name, value in (*scores.items(), ("sum of |truth|", abs_truth)):
-        if not np.isfinite(value):
+    for name, value in scores.items():
+        if not math.isfinite(value):
             raise MetricError(f"{name} is {value}: the errors overflow float64")
     return scores
 

@@ -44,7 +44,7 @@ class TestProductMetrics:
     @pytest.mark.parametrize("preds, truth, named", [
         ([1e200, 1.0], [1.0, 1.0], "rmse is inf"),  # the squared error overflows
         ([1e308, 1.0], [-1e308, 1.0], "mae is inf"),  # so does the error itself
-        ([1e308, 1e308], [1e308, 1e308], r"sum of \|truth\| is inf"),
+        ([1e308, 1e308], [1e308, 1e308], "truth values sum to inf"),
     ])
     def test_overflowing_metric_rejected(self, preds, truth, named):
         # Finite inputs whose metric overflows: no RuntimeWarning, and no

@@ -243,8 +243,12 @@ class TestFeatureLayout:
     def test_stage3_features(self):
         from triboost.pipeline import stage3_features
 
+        # The dataset's block with the stage-2 row appended.
         ds = make_panel({0: [1.0, 2.0], 1: [3.0]}, {2: (2, 4.0)})
-        assert_block_layout(stage3_features(ds.features, np.arange(ds.n, dtype=float)))
+        p = np.arange(ds.n, dtype=float)
+        X3 = stage3_features(ds.features, p)
+        assert_block_layout(X3)
+        assert X3.T.tobytes() == ds.features.T.tobytes() + p.tobytes()
 
 
 class TestWeekGroups:

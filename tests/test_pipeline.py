@@ -65,14 +65,6 @@ class TestStage3Features:
         assert np.array_equal(X3[:, :-1], panel.features)
         assert np.array_equal(X3[:, -1], p)
 
-    def test_is_the_block_with_a_row_appended(self, panel):
-        # fit reads the (k + 1, n) block in place: X3.T is C-contiguous,
-        # and, like a dataset's features, X3 is read-only.
-        p = np.arange(panel.n, dtype=np.float64)
-        X3 = stage3_features(panel.features, p)
-        assert X3.T.flags.c_contiguous and not X3.flags.writeable
-        assert X3.T.tobytes() == panel.features.T.tobytes() + p.tobytes()
-
     def test_wrong_length(self, panel):
         with pytest.raises(ValidationError, match="stage-2"):
             stage3_features(panel.features, np.zeros(3))
