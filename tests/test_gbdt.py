@@ -514,14 +514,6 @@ class TestFit:
         assert again.predict(X).tolist() == preds.tolist()
 
 
-def _layouts(X):
-    """``X`` C-ordered, column-major, and as every other column of a wider
-    C-ordered matrix, a strided view."""
-    wide = np.zeros((X.shape[0], 2 * X.shape[1]))
-    wide[:, ::2] = X
-    return {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X), "strided": wide[:, ::2]}
-
-
 class TestFitLayout:
     @given(
         n=st.integers(min_value=2, max_value=60),
@@ -530,16 +522,20 @@ class TestFitLayout:
     )
     @settings(max_examples=60, deadline=None)
     def test_same_model_in_every_memory_layout(self, n, k, seed):
-        # fit reads a column-major matrix in place and copies the others;
-        # the bytes of the model, the predictions and the loss curve must
-        # not depend on which.  Values come from a small set, so ties occur.
+        # fit reads a column-major matrix in place and copies the others,
+        # here a C-ordered one and every other column of a wider one; the
+        # bytes of the model, the predictions and the loss curve must not
+        # depend on which.  Values come from a small set, so ties occur.
         rng = np.random.default_rng(seed)
         X = rng.choice(np.append(TIGHT_VALUES, [0.0, -3.0]), size=(n, k))
         y = rng.normal(size=n)
+        wide = np.zeros((n, 2 * k))
+        wide[:, ::2] = X
+        layouts = {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X), "strided": wide[:, ::2]}
         cfg = TrainConfig(num_rounds=3, max_depth=3, learning_rate=0.5, reg_lambda=0.1)
         results = {}
         with tempfile.TemporaryDirectory() as tmp:
-            for name, features in _layouts(X).items():
+            for name, features in layouts.items():
                 assert np.array_equal(features, X)
                 result = fit(features, mse_objective(y), cfg)
                 save_model(result.model, Path(tmp) / "model.json")
