@@ -13,14 +13,21 @@ error.
 Split search is XGBoost's exact greedy algorithm on column blocks (Chen &
 Guestrin 2016, §4.1): ``fit`` reads the features as a C-contiguous (k, n)
 block, one row per feature (a dataset's ``features.T``, read in place),
-argsorts it once into a (k, n) block of row indices, one presorted row
-per feature, and every tree node holds its own block, a stable partition
-of its parent's.  A node of c rows thus costs O(c·k), and all its
-features are scanned in a few 2-D passes.
+and argsorts it once into a (k, n) block of row indices, one presorted
+row per feature.  Each tree copies that block once into one work block
+and keeps one ascending vector of row indices beside it; a node is a
+segment of both, and a split rewrites its segment in place as a stable
+partition, left rows then right rows, so no node allocates a block of its
+own.  A node of c rows thus costs O(c·k).  A small node scans all its
+features in a few 2-D passes; a node of more than ``SCAN_CHUNK`` rows is
+scanned one feature at a time in fixed-length chunks, so tree growth needs
+no memory proportional to its largest node beyond one prefix-sum vector.
 
 Determinism contract: identical inputs give bit-identical models.
 Gradient prefix sums are accumulated strictly left to right along each
-feature's stable order (``np.cumsum`` along a row, never pairwise), leaf
+feature's stable order (``np.cumsum`` along a row, never pairwise; in a
+big node chunk by chunk, each chunk's first term adding the sum before
+it, which is the same sequence of additions), leaf
 sums left to right in ascending row order, and ties between candidate
 splits resolve to the lowest feature index then the lowest threshold.  A
 round's Hessian h is one number for every row, so ``fit`` takes its
@@ -433,12 +440,23 @@ def leaf_weight(G: float, H: float, reg_lambda: float) -> float:
 
 # Most elements one pass of ``find_best_split`` gathers.  A node of c rows
 # scans max(1, SCAN_BUDGET // c) features per pass, so small nodes do every
-# feature in one pass and a large node does one feature at a time, with
+# feature in one pass and a larger node does one feature at a time, with
 # temporaries the size of one feature.  2**12 float64s are 32 KiB, within a
 # core's 48 KiB L1 data cache on a 2-vCPU Xeon, where this budget scanned
 # 600- to 4,910-row nodes of the wide benchmark panel faster than 2**14 to
 # 2**17 did.
 SCAN_BUDGET = 1 << 12
+# A node of more than SCAN_CHUNK rows is scanned one feature at a time in
+# chunks of SCAN_CHUNK cuts and partitioned one feature per pass, so its
+# temporaries are one c-long prefix-sum vector and a few chunks; a smaller
+# node is scanned as above and partitioned in one pass.  A root scan of
+# 90,020 rows and six features (2-vCPU Xeon, medians of 60 interleaved
+# calls in three runs) took 8.2-8.3 ms and 1.3 MB traced at 2**13 cuts,
+# against 8.9-9.4 ms and 1.0 MB at 2**12, 8.2-8.5 ms and 1.5 MB at 2**14,
+# 8.2-8.6 ms and 3.2 MB at 2**16, and 8.4-8.8 ms and 7.3 MB for one
+# whole-feature pass.  Partitioning a 4,910-row node of six features one
+# feature per pass took 146 us against 121 us in one pass.
+SCAN_CHUNK = 1 << 13
 
 
 def find_best_split(
@@ -454,15 +472,21 @@ def find_best_split(
 
     ``rows`` are the node's c row indices.  ``block`` is the node's
     presorted column block: a (k, c) array whose row f lists those rows in
-    stable ascending order of feature f (ties keep ascending row index).
-    ``columns`` is the C-contiguous (k, n) feature block, one row per
-    feature: a dataset's own ``features.T`` where ``fit`` can read it in
-    place.  ``fit`` passes both, and :func:`_grow_tree` builds each child's
-    block.
-    The block is scanned in passes of whole features, at most
-    ``SCAN_BUDGET`` elements per pass, each pass one 2-D gather, cumulative
-    sum and gain evaluation.  Gradient prefix sums run strictly left to
-    right along each feature's order.
+    stable ascending order of feature f (ties keep ascending row index);
+    :func:`_grow_tree` passes a segment of its tree's work block.
+    ``columns`` is a C-contiguous (k, N) feature block, one row per
+    feature, with N greater than every row index: a dataset's own
+    ``features.T``, which ``fit`` reads in place, also when it trains on a
+    row prefix of it, so that column f starts at ``f * N`` in its flat
+    view.
+    A node of at most ``SCAN_CHUNK`` rows is scanned in passes of whole
+    features, at most ``SCAN_BUDGET`` elements per pass or one feature,
+    each pass one 2-D gather, cumulative sum and gain evaluation.  A larger
+    node is scanned one feature at a time: its gradients are gathered and
+    prefix-summed ``SCAN_CHUNK`` elements at a time into one c-long vector,
+    each chunk starting from the last sum of the one before, and its cuts
+    are then scored ``SCAN_CHUNK`` at a time.  Either way gradient prefix
+    sums run strictly left to right along each feature's order.
 
     Every row has the same Hessian h, and ``hess_prefix`` is
     ``np.full(n, h).cumsum()`` for any n >= c.  Every order of equal values
@@ -477,16 +501,20 @@ def find_best_split(
     is checked at the winner alone: a winner that fails it is dropped and
     the next best taken, so the result is the same as checking every
     candidate.  The midpoint is ``0.5 * (lo + hi)``, or ``0.5*lo + 0.5*hi``
-    where ``lo + hi`` overflows.  Returns None when no candidate qualifies
-    — a valid outcome, not an error.
+    where ``lo + hi`` overflows.  A NaN gain (gradient sums whose squares
+    overflow) whose cut passes that rule ends its pass with nothing taken
+    from it.  Returns None when no candidate qualifies — a valid outcome,
+    not an error.
     """
     if len(rows) == 0:
         raise ValidationError("cannot search for a split over zero rows")
     num_features, c = block.shape
     if c < 2:
         return None
-    values = columns.ravel()  # column f starts at values[starts[f]]
-    starts = np.arange(num_features)[:, None] * columns.shape[1]
+    if c > SCAN_CHUNK:
+        return _scan_in_chunks(grad, hess_prefix, config, block, columns)
+    values, N = columns.ravel(), columns.shape[1]
+    starts = np.arange(0, num_features * N, N)[:, None]  # column f: values[starts[f]:]
     per_pass = max(1, SCAN_BUDGET // c)
     # One node's Hessian sums serve every feature's gain denominators.
     HL, H = hess_prefix[: c - 1], hess_prefix[c - 1]
@@ -517,18 +545,116 @@ def find_best_split(
             gain = float(gains[f, i])
             if gain <= bar:  # argmax puts a NaN first, so nothing left beats the bar
                 break
-            # A midpoint that rounds down onto the left value (adjacent
-            # floats) would not reproduce the scored partition under the
-            # `<` routing rule: drop that cut and take the next best.
-            lo, hi = float(x[f, i]), float(x[f, i + 1])
-            total = lo + hi  # Python floats: an overflow to inf raises no warning
-            threshold = 0.5 * total if math.isfinite(total) else 0.5 * lo + 0.5 * hi
-            if threshold > lo:
+            threshold = _midpoint(float(x[f, i]), float(x[f, i + 1]))
+            if threshold is not None:
                 if gain > bar:  # false for a NaN gain
                     best = SplitCandidate(feature=f0 + f, threshold=threshold, gain=gain)
                 break
             gains[f, i] = -np.inf
     return best
+
+
+def _midpoint(lo: float, hi: float) -> float | None:
+    """The threshold of a cut between sorted values ``lo < hi``, or None
+    when it rounds down onto ``lo`` (adjacent floats): under the ``<``
+    routing rule it would not reproduce the scored partition."""
+    total = lo + hi  # Python floats: an overflow to inf raises no warning
+    threshold = 0.5 * total if math.isfinite(total) else 0.5 * lo + 0.5 * hi
+    return threshold if threshold > lo else None
+
+
+def _scan_in_chunks(
+    grad: np.ndarray,
+    hess_prefix: np.ndarray,
+    config: TrainConfig,
+    block: np.ndarray,
+    columns: np.ndarray,
+) -> SplitCandidate | None:
+    """:func:`find_best_split` on a node of more than ``SCAN_CHUNK`` rows,
+    one feature at a time in chunks of ``SCAN_CHUNK``, with the result that
+    one whole-feature pass per feature gives.
+
+    Adding the carry to a chunk's first gradient before its ``cumsum`` is
+    the next step of the same left-to-right sum, so the prefix sums are
+    bit for bit those of one ``cumsum`` along the feature.  The first
+    maximum of each chunk that beats the bar is taken and raises the bar,
+    so equal gains keep the lowest feature, then the lowest threshold.  A
+    NaN gain is never taken, and a feature with one has no positive gain
+    to lose: a NaN needs G²/(H+λ) to be inf or NaN, and then every gain of
+    the feature is -inf or NaN."""
+    num_features, c = block.shape
+    chunk = SCAN_CHUNK
+    H = hess_prefix[c - 1]
+    lam = config.reg_lambda
+    gs = np.empty(c)  # one feature's gradient prefix sums
+    tied = np.empty(c - 1, dtype=bool)  # cut i lies between equal values
+
+    best: SplitCandidate | None = None
+    bar = 0.0
+    for f in range(num_features):  # ascending f: ties keep lowest
+        order, column = block[f], columns[f]
+        for a in range(0, c, chunk):
+            idx = order[a : a + chunk].astype(np.intp)  # faster gathers
+            g = grad.take(idx)
+            if a:
+                g[0] += gs[a - 1]
+            g.cumsum(out=gs[a : a + g.shape[0]])
+            x = column.take(idx)
+            np.equal(x[:-1], x[1:], out=tied[a : a + x.shape[0] - 1])
+            if a:
+                tied[a - 1] = last == x[0]
+            last = x[-1]
+        G = gs[c - 1]
+        G_term = G * G / (H + lam)
+        for a in range(0, c - 1, chunk):
+            b = min(a + chunk, c - 1)
+            GL, HL = gs[a:b], hess_prefix[a:b]
+            # The operations of the whole-pass gain, in the same order.
+            gains = GL * GL
+            gains /= HL + lam
+            right = G - GL
+            right *= right
+            den = H - HL
+            den += lam
+            right /= den
+            gains += right
+            gains -= G_term
+            gains *= 0.5
+            gains[tied[a:b]] = -np.inf
+            while True:
+                i = int(gains.argmax())  # first max: lowest threshold
+                gain = float(gains[i])
+                if gain <= bar:  # argmax puts a NaN first
+                    break
+                lo = float(column[order[a + i]])
+                threshold = _midpoint(lo, float(column[order[a + i + 1]]))
+                if threshold is None:
+                    gains[i] = -np.inf
+                    continue
+                if gain > bar:  # false for a NaN gain
+                    best, bar = SplitCandidate(feature=f, threshold=threshold, gain=gain), gain
+                break
+    return best
+
+
+def _partition(block: np.ndarray, goes_left: np.ndarray, n_left: int) -> None:
+    """Rewrite each row of a node's (k, c) ``block`` in place as its
+    ``n_left`` rows flagged in ``goes_left`` followed by the rest, both in
+    their order there (a stable partition): all features in one pass, or
+    one feature per pass in a node of more than ``SCAN_CHUNK`` rows."""
+    k, c = block.shape
+    per_pass = k if c <= SCAN_CHUNK else 1
+    for f0 in range(0, k, per_pass):
+        part = block[f0 : f0 + per_pass]
+        flat = part.ravel()  # a copy, unless the pass is one feature
+        # np.take/np.compress on a flat array: several times faster than
+        # fancy and boolean indexing of a block segment with int32 indices.
+        # Both sides are gathered before either is written back.
+        left = goes_left.take(flat)
+        part[:, :n_left], part[:, n_left:] = (
+            flat.compress(left).reshape(-1, n_left),
+            flat.compress(~left).reshape(-1, c - n_left),
+        )
 
 
 def _grow_tree(
@@ -543,21 +669,30 @@ def _grow_tree(
     caller can update predictions without re-routing.
 
     ``presort`` is the root's column block (see :func:`find_best_split`).
-    Each child's block is a stable partition of its parent's, so a node
-    costs O(c·k) for its own c rows, and its rows stay in ascending order
-    for the gradient sums of the leaves, which run left to right.  A leaf
-    of c rows takes its Hessian sum from ``hess_prefix[c - 1]``."""
+    The tree copies it once into one work block, and keeps one vector of
+    row indices beside it, ascending.  A node is a segment ``[s, s + c)``
+    of both: its block is ``work[:, s:s + c]`` and its rows are
+    ``order[s:s + c]``.  A split rewrites its segment of both in place as
+    ``[left | right]``, a stable partition (see :func:`_partition`), so a
+    node costs O(c·k) for its own c rows, no node allocates a block, and
+    every node's rows stay in ascending order for the gradient sums of the
+    leaves, which run left to right.  A leaf's rows are a view of its
+    segment of ``order``, and it takes its Hessian sum from
+    ``hess_prefix[c - 1]``."""
     nodes: list[SplitNode | LeafNode | None] = []
     leaves: list[tuple[np.ndarray, float]] = []
     deepest = 0
-    n = columns.shape[1]
+    work = presort.copy()
+    n = work.shape[1]
+    order = np.arange(n, dtype=np.intp)
     goes_left = np.zeros(n, dtype=bool)  # flags of the node being split
 
-    def build(rows: np.ndarray, block: np.ndarray | None, depth: int) -> int:
+    def build(s: int, c: int, depth: int) -> int:
         nonlocal deepest
         deepest = max(deepest, depth)
+        rows, block = order[s : s + c], work[:, s : s + c]
         split = None
-        if depth < config.max_depth and rows.shape[0] >= 2:
+        if depth < config.max_depth and c >= 2:
             split = find_best_split(
                 rows, grad, hess_prefix, config, block=block, columns=columns
             )
@@ -566,30 +701,20 @@ def _grow_tree(
             # The last of a left-to-right prefix sum; sum() would not keep
             # that order (it compensates from Python 3.12 on).
             G = float(grad[rows].cumsum()[-1])
-            H = float(hess_prefix[rows.shape[0] - 1])
+            H = float(hess_prefix[c - 1])
             w = leaf_weight(G, H, config.reg_lambda)
             nodes.append(LeafNode(weight=w))
             leaves.append((rows, w))
             return idx
         nodes.append(None)  # reserve pre-order slot; children follow
         row_left = columns[split.feature, rows] < split.threshold
-        blocks: list[np.ndarray | None] = [None, None]  # leaves need no block
-        if depth + 1 < config.max_depth:
+        n_left = int(np.count_nonzero(row_left))
+        if depth + 1 < config.max_depth:  # leaves need no block
             goes_left[rows] = row_left
-            # np.take/np.compress on the flat block: several times faster
-            # than fancy and boolean indexing with int32 indices.
-            in_left = goes_left.take(block.ravel())
-            k, n_left = block.shape[0], int(np.count_nonzero(row_left))
-            blocks = [
-                np.compress(~in_left, block.ravel()).reshape(k, rows.shape[0] - n_left),
-                np.compress(in_left, block.ravel()).reshape(k, n_left),
-            ]
-            del in_left
-        # Popped straight into the calls, so a child's block is owned by its
-        # own frame and freed once it is split in turn.
-        del block
-        left = build(rows[row_left], blocks.pop(), depth + 1)
-        right = build(rows[~row_left], blocks.pop(), depth + 1)
+            _partition(block, goes_left, n_left)
+        rows[:n_left], rows[n_left:] = rows[row_left], rows[~row_left]
+        left = build(s, n_left, depth + 1)
+        right = build(s + n_left, c - n_left, depth + 1)
         nodes[idx] = SplitNode(
             feature=split.feature,
             threshold=split.threshold,
@@ -598,9 +723,9 @@ def _grow_tree(
         )
         return idx
 
-    build(np.arange(n, dtype=np.intp), presort, 0)
+    build(0, n, 0)
     # ``build`` refers to itself through its closure; break that cycle, or
-    # the round's gradients, blocks and leaf rows stay alive until the
+    # the round's gradients, work block and leaf rows stay alive until the
     # cyclic garbage collector happens to run.
     del build
     return RegressionTree(nodes=tuple(nodes), max_depth_reached=deepest), leaves
@@ -617,14 +742,20 @@ def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> Stag
     additions in the same order), and the objective's loss before the
     first round and after every round (length num_rounds + 1).
 
-    ``features.T`` is the (k, n) column block split search reads.  When it
-    is C-contiguous, as a dataset's ``features`` is, it is read in place;
-    otherwise (a row prefix of a dataset, or a C-ordered matrix) it is
-    copied once per fit.  It is argsorted into a (k, n) int32 block of row
-    indices, which every tree partitions node by node (see
-    :func:`_grow_tree`).  Every tree takes its Hessian sums from one
-    prefix vector of the round's Hessian, built again only when that
-    number changes (see :func:`find_best_split`).  Training runs on the
+    ``features.T`` is the (k, n) column block split search reads.  A
+    C-contiguous one, as a dataset's ``features`` gives, is read in place,
+    and so is a row prefix of one (stage 1's historical rows, the held-out
+    refit): split search then reads the whole block it views, at row
+    indices below n.  Any other layout (a C-ordered matrix, a strided
+    view) is copied once per fit.  It is argsorted into a (k, n) int32
+    block of row indices, which every tree copies into one work block and
+    partitions in place node by node (see :func:`_grow_tree`), and nodes of
+    more than ``SCAN_CHUNK`` rows are scanned in chunks (see
+    :func:`find_best_split`).  So beside the features and that block, tree
+    growth holds one more (k, n) int32 block, a row vector and a few
+    n-long vectors, whatever the size of its largest node.  Every tree
+    takes its Hessian sums from one prefix vector of the round's Hessian,
+    built again only when that number changes.  Training runs on the
     calling thread.
 
     Each loss is evaluated with numpy's overflow and invalid-value warnings
@@ -635,12 +766,14 @@ def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> Stag
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValidationError(f"expected a non-empty 2-D feature matrix, got {X.shape}")
-    columns = np.ascontiguousarray(X.T)  # a view when X is a dataset's features
+    columns = X.T  # a view: a dataset's block, or a row prefix of it
     del X  # a converted copy of a caller's non-float64 matrix is not kept
     if not np.all(np.isfinite(columns)):
         raise ValidationError("feature matrix contains non-finite values")
     k, n = columns.shape
     presort = np.argsort(columns, axis=1, kind="stable").astype(np.int32)
+    if not columns.flags.c_contiguous:
+        columns = _enclosing_block(columns)
     base = float(objective.base_score())
     preds = np.full(n, base)
     losses = [_checked_loss(objective, preds, 0)]
@@ -656,6 +789,7 @@ def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> Stag
         tree, leaves = _grow_tree(columns, presort, gh.grad, hess_prefix, config)
         for rows, w in leaves:
             preds[rows] += config.learning_rate * w
+        del leaves  # the tree's row vector, before the next tree makes its own
         trees.append(tree)
         losses.append(_checked_loss(objective, preds, len(trees)))
 
@@ -666,6 +800,25 @@ def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> Stag
         trees=tuple(trees),
     )
     return StageFit(preds=preds, model=model, loss_curve=tuple(losses))
+
+
+def _enclosing_block(columns: np.ndarray) -> np.ndarray:
+    """A C-contiguous (k, N) block whose first n columns are the (k, n)
+    ``columns``: the block it views when it is a row prefix of one, as
+    stage 1's historical rows of a dataset are, so that block is read in
+    place with row stride N; otherwise a C-contiguous copy."""
+    base = columns.base
+    if (
+        isinstance(base, np.ndarray)
+        and base.flags.c_contiguous
+        and base.dtype == columns.dtype
+        and base.strides == columns.strides
+        and base.shape[0] == columns.shape[0]
+        and base.shape[1] >= columns.shape[1]
+        and base.__array_interface__["data"][0] == columns.__array_interface__["data"][0]
+    ):
+        return base
+    return np.ascontiguousarray(columns)
 
 
 def _checked_loss(objective: Objective, preds: np.ndarray, rounds: int) -> float:

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import TriboostError, ValidationError
+from .errors import MetricError, TriboostError, ValidationError
 from .gbdt import GbdtModel, StageFit, TrainConfig, fit
 from .objectives import (
     ConstraintOnlyObjective,
@@ -361,12 +361,18 @@ def diagnose(
     n = dataset.n
 
     future = layout.is_future
-    sums = layout.weekly_sums(outputs.stage1)
-    deviation = sums - layout.totals
+    # Sums of squares of finite predictions can overflow: they are computed
+    # with numpy's warnings off, and one that is not finite is a
+    # MetricError naming its stage, so the report never holds Infinity or
+    # NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = layout.weekly_sums(outputs.stage1)
+        deviation = sums - layout.totals
+        squared_sum = float(np.sum(deviation[future] ** 2))
+    _check_finite("stage1", {"squared weekly deviation sum": squared_sum})
     weekly_dev = {
         int(w): float(d) for w, d in zip(layout.weeks[future], deviation[future])
     }
-    squared_sum = float(np.sum(deviation[future] ** 2))
 
     direction, rate = _held_out_bias(dataset, config)
 
@@ -378,12 +384,19 @@ def diagnose(
     # both future-row terms while the historical constraint residual stays a
     # fixed fit-capacity floor.
     # The future rows' pseudo-labels are the stage-1 predictions verbatim.
-    fit_err = outputs.stage1[dataset.m :] - outputs.stage2[dataset.m :]
-    fit_term = float(np.sum(fit_err * fit_err) / n)
-    R = layout.residuals(outputs.stage2)
-    constraint_term = float(np.sum(R * R) / n)
-    constraint_future = float(np.sum(R[future] * R[future]) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit_err = outputs.stage1[dataset.m :] - outputs.stage2[dataset.m :]
+        fit_term = float(np.sum(fit_err * fit_err) / n)
+        R = layout.residuals(outputs.stage2)
+        constraint_term = float(np.sum(R * R) / n)
+        constraint_future = float(np.sum(R[future] * R[future]) / n)
+    # Python floats: a ratio that overflows is inf, with no warning.
     ratio = fit_term / constraint_term if constraint_term > 0 else None
+    _check_finite("stage2", {
+        "fit term on future rows": fit_term,
+        "constraint term": constraint_term,
+        "fit/constraint term ratio": 0.0 if ratio is None else ratio,
+    })
 
     probe = trivial_solution_probe(dataset)
 
@@ -400,6 +413,16 @@ def diagnose(
         trivial_probe_max_rel_gap=probe.max_rel_gap,
         trivial_probe_rounds=probe.rounds,
     )
+
+
+def _check_finite(stage: str, terms: dict[str, float]) -> None:
+    """A :class:`MetricError` naming ``stage`` and the first of its report
+    ``terms`` that is not finite."""
+    for name, value in terms.items():
+        if not math.isfinite(value):
+            raise MetricError(
+                f"{stage}: {name} is {value}: the predictions overflow float64"
+            )
 
 
 def _held_out_bias(

@@ -408,6 +408,28 @@ class TestDiagnose:
         for path in (models / "manifest.json", out):
             json.loads(path.read_text(), parse_constant=reject)
 
+    def test_huge_finite_prediction_is_validation(self, tmp_path, capsys):
+        # A stage-1 model whose first tree's leaves weigh 1e200 predicts
+        # finite values whose squared deviations overflow.  diagnose used to
+        # exit 0 with RuntimeWarnings and Infinity/NaN in its report.
+        data, models, out = tmp_path / "data", tmp_path / "models", tmp_path / "d.json"
+        assert main(["generate", "--out", str(data)]) == 0
+        data_args = ["--data", str(data / "train.csv"), str(data / "test.csv")]
+        assert main(["train", *data_args, "--out", str(models), "--set", "num_rounds=30"]) == 0
+        path = models / MODEL_FILES["stage1"]
+        doc = json.loads(path.read_text())
+        for node in doc["trees"][0]["nodes"]:
+            if node["kind"] == "leaf":
+                node["weight"] = 1e200
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, captured = run(["diagnose", *data_args, "--models", str(models),
+                              "--out", str(out)], capsys)
+        assert code == 3
+        assert re.fullmatch(r"validation: stage1: squared weekly deviation sum is inf: .*\n",
+                            captured.err)
+        assert not out.exists()
+
     def test_zero_constraint_term_ratio_is_null(self, tmp_path):
         # Stage 2 meets both weekly totals exactly here, so its fit/constraint
         # ratio is undefined: null in both files, not Infinity, which strict

@@ -52,6 +52,15 @@ class TestProductMetrics:
         with pytest.raises(MetricError, match=named):
             product_metrics(np.array(preds), np.array(truth))
 
+    def test_large_finite_metrics_keep_their_bits(self):
+        p, t = np.array([1e150, 3.0]), np.array([1.0, 2.0])
+        err = p - t
+        assert product_metrics(p, t) == {
+            "mae": float(np.mean(np.abs(err))),
+            "rmse": float(np.sqrt(np.mean(err * err))),
+            "wmape": float(np.sum(np.abs(err)) / 3.0),
+        }
+
 
 @pytest.fixture()
 def panel():
