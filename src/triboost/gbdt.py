@@ -18,26 +18,27 @@ row per feature.  Each tree copies that block once into one work block
 and keeps one ascending vector of row indices beside it; a node is a
 segment of both, and a split rewrites its segment in place as a stable
 partition, left rows then right rows, so no node allocates a block of its
-own.  A node of c rows thus costs O(c·k).  A small node scans all its
-features in a few 2-D passes; a node of more than ``SCAN_CHUNK`` rows is
-scanned one feature at a time in fixed-length chunks, so tree growth needs
-no memory proportional to its largest node beyond one prefix-sum vector.
+own.  A node of c rows thus costs O(c·k).  One scan serves every node: it
+walks tiles, each a group of features and a chunk of their cuts, scored in
+one 2-D pass.  A node of at most ``SCAN_CHUNK`` rows takes whole features,
+several to a tile when they are short; a larger node takes one feature and
+``SCAN_CHUNK`` cuts per tile, so tree growth needs no memory proportional
+to its largest node beyond one feature's prefix sums.
 
 Determinism contract: identical inputs give bit-identical models.
 Gradient prefix sums are accumulated strictly left to right along each
-feature's stable order (``np.cumsum`` along a row, never pairwise; in a
-big node chunk by chunk, each chunk's first term adding the sum before
-it, which is the same sequence of additions), leaf
-sums left to right in ascending row order, and ties between candidate
-splits resolve to the lowest feature index then the lowest threshold.  A
-round's Hessian h is one number for every row, so ``fit`` takes its
-left-to-right prefix sum once (``np.full(n, h).cumsum()``) and every node
-and leaf reads its Hessian sums from that vector: every order of equal
-values has the same prefix, so no feature needs its own.  A cut's midpoint
-must lie above its left value, which only adjacent floats can fail; the
-scan checks that at the winning cut alone and falls back to the next best,
-which picks what checking every cut would.  Everything runs on the calling
-thread.
+feature's stable order (``np.cumsum`` along a row, never pairwise; a chunk
+after the first starts from the sum before it, which is the same sequence
+of additions), leaf sums left to right in ascending row order, and ties
+between candidate splits resolve to the lowest feature index then the
+lowest threshold.  A round's Hessian h is one number for every row, so
+``fit`` takes its left-to-right prefix sum once (``np.full(n, h).cumsum()``)
+and every node and leaf reads its Hessian sums from that vector: every
+order of equal values has the same prefix, so no feature needs its own.  A
+cut's midpoint must lie above its left value, which only adjacent floats
+can fail; the scan checks that at a tile's winning cut alone and falls back
+to the next best, which picks what checking every cut would.  Everything
+runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -438,24 +439,26 @@ def leaf_weight(G: float, H: float, reg_lambda: float) -> float:
     return -G / denom
 
 
-# Most elements one pass of ``find_best_split`` gathers.  A node of c rows
-# scans max(1, SCAN_BUDGET // c) features per pass, so small nodes do every
-# feature in one pass and a larger node does one feature at a time, with
-# temporaries the size of one feature.  2**12 float64s are 32 KiB, within a
-# core's 48 KiB L1 data cache on a 2-vCPU Xeon, where this budget scanned
+# Most elements one tile of ``find_best_split`` gathers in a node of at most
+# SCAN_CHUNK rows.  A node of c rows scans max(1, SCAN_BUDGET // c) whole
+# features per tile, so small nodes do every feature in one tile and a
+# larger one does one feature at a time.  2**12 float64s are 32 KiB, within
+# a core's 48 KiB L1 data cache on a 2-vCPU Xeon, where this budget scanned
 # 600- to 4,910-row nodes of the wide benchmark panel faster than 2**14 to
 # 2**17 did.
 SCAN_BUDGET = 1 << 12
-# A node of more than SCAN_CHUNK rows is scanned one feature at a time in
-# chunks of SCAN_CHUNK cuts and partitioned one feature per pass, so its
-# temporaries are one c-long prefix-sum vector and a few chunks; a smaller
+# A node of more than SCAN_CHUNK rows is scanned in tiles of one feature and
+# SCAN_CHUNK cuts and partitioned one feature per pass, so its temporaries
+# are one feature's prefix sums and tie flags and a few chunks; a smaller
 # node is scanned as above and partitioned in one pass.  A root scan of
 # 90,020 rows and six features (2-vCPU Xeon, medians of 60 interleaved
 # calls in three runs) took 8.2-8.3 ms and 1.3 MB traced at 2**13 cuts,
 # against 8.9-9.4 ms and 1.0 MB at 2**12, 8.2-8.5 ms and 1.5 MB at 2**14,
 # 8.2-8.6 ms and 3.2 MB at 2**16, and 8.4-8.8 ms and 7.3 MB for one
-# whole-feature pass.  Partitioning a 4,910-row node of six features one
-# feature per pass took 146 us against 121 us in one pass.
+# whole-feature tile.  Partitioning a 4,910-row node of six features one
+# feature per pass took 146 us against 121 us in one pass.  These figures
+# were taken on a separate scan for big nodes; the one tiled scan that
+# replaced it ran within 3% of it at 20,000 and 90,020 rows.
 SCAN_CHUNK = 1 << 13
 
 
@@ -479,78 +482,98 @@ def find_best_split(
     ``features.T``, which ``fit`` reads in place, also when it trains on a
     row prefix of it, so that column f starts at ``f * N`` in its flat
     view.
-    A node of at most ``SCAN_CHUNK`` rows is scanned in passes of whole
-    features, at most ``SCAN_BUDGET`` elements per pass or one feature,
-    each pass one 2-D gather, cumulative sum and gain evaluation.  A larger
-    node is scanned one feature at a time: its gradients are gathered and
-    prefix-summed ``SCAN_CHUNK`` elements at a time into one c-long vector,
-    each chunk starting from the last sum of the one before, and its cuts
-    are then scored ``SCAN_CHUNK`` at a time.  Either way gradient prefix
-    sums run strictly left to right along each feature's order.
+
+    The scan is one loop over tiles, a tile being a group of features and
+    a chunk of their cuts, each scored in one 2-D gather, cumulative sum
+    and gain evaluation.  A node of at most ``SCAN_CHUNK`` rows takes
+    ``max(1, SCAN_BUDGET // c)`` whole features per tile; a larger node
+    takes one feature per tile, ``SCAN_CHUNK`` cuts at a time.  A chunk
+    reads the sorted positions that bound its cuts, so the next chunk
+    starts at its last position, whose gradient is replaced by the sum so
+    far before the ``cumsum``: the same additions in the same order as one
+    ``cumsum`` along the feature, strictly left to right.  A feature's
+    chunks are summed before any is scored, since every gain needs the
+    feature's total.
 
     Every row has the same Hessian h, and ``hess_prefix`` is
     ``np.full(n, h).cumsum()`` for any n >= c.  Every order of equal values
     has that same left-to-right prefix, so a node takes its Hessian sums
-    from it once, not once per feature: ``hess_prefix[:c - 1]`` left of
-    each cut, ``hess_prefix[c - 1]`` in all.
+    from it, not once per feature: ``hess_prefix[:c - 1]`` left of each
+    cut, ``hess_prefix[c - 1]`` in all.
 
     Returns the maximum-gain candidate of gain > 0; ties go to the lowest
-    feature index, then the lowest threshold.  A cut lies between two
+    feature index, then the lowest threshold: each tile's first maximum
+    that beats the best gain so far is taken.  A cut lies between two
     distinct values, at their midpoint, and the midpoint must lie above
     the left value, which fails only for adjacent floats.  That last rule
-    is checked at the winner alone: a winner that fails it is dropped and
-    the next best taken, so the result is the same as checking every
-    candidate.  The midpoint is ``0.5 * (lo + hi)``, or ``0.5*lo + 0.5*hi``
-    where ``lo + hi`` overflows.  A NaN gain (gradient sums whose squares
-    overflow) whose cut passes that rule ends its pass with nothing taken
-    from it.  Returns None when no candidate qualifies — a valid outcome,
-    not an error.
+    is checked at a tile's winner alone: a winner that fails it is dropped
+    and the tile's next best taken, so the result is the same as checking
+    every candidate.  The midpoint is ``0.5 * (lo + hi)``, or
+    ``0.5*lo + 0.5*hi`` where ``lo + hi`` overflows.  A NaN gain (gradient
+    sums whose squares overflow) whose cut passes that rule ends its tile
+    with nothing taken from it.  Returns None when no candidate qualifies
+    — a valid outcome, not an error.
     """
     if len(rows) == 0:
         raise ValidationError("cannot search for a split over zero rows")
     num_features, c = block.shape
     if c < 2:
         return None
-    if c > SCAN_CHUNK:
-        return _scan_in_chunks(grad, hess_prefix, config, block, columns)
+    if c <= SCAN_CHUNK:  # tiles of whole features
+        per_tile, chunk = max(1, SCAN_BUDGET // c), c - 1
+    else:  # tiles of one feature and SCAN_CHUNK cuts
+        per_tile, chunk = 1, SCAN_CHUNK
     values, N = columns.ravel(), columns.shape[1]
     starts = np.arange(0, num_features * N, N)[:, None]  # column f: values[starts[f]:]
-    per_pass = max(1, SCAN_BUDGET // c)
-    # One node's Hessian sums serve every feature's gain denominators.
-    HL, H = hess_prefix[: c - 1], hess_prefix[c - 1]
+    H = hess_prefix[c - 1]
     lam = config.reg_lambda
-    HL_lam, HR_lam, H_lam = HL + lam, (H - HL) + lam, H + lam
 
     best: SplitCandidate | None = None
-    for f0 in range(0, num_features, per_pass):  # ascending f: ties keep lowest
-        idx = block[f0 : f0 + per_pass].astype(np.intp)  # faster gathers
-        x = values[idx + starts[f0 : f0 + per_pass]]
-        gs = grad[idx].cumsum(axis=1)
-        G, GL = gs[:, -1:], gs[:, :-1]
-        GR = G - GL
-        # 0.5 * (GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ)): the same operations
-        # in the same order, with fewer temporaries.
-        gains = GL * GL
-        gains /= HL_lam
-        right = GR * GR
-        right /= HR_lam
-        gains += right
-        gains -= G * G / H_lam
-        gains *= 0.5
-        valid = x[:, :-1] < x[:, 1:]  # cut only between distinct values
-        gains = np.where(valid, gains, -np.inf)
-        bar = 0.0 if best is None else best.gain
-        while True:
-            f, i = divmod(int(gains.argmax()), c - 1)  # first max: lowest f, then threshold
-            gain = float(gains[f, i])
-            if gain <= bar:  # argmax puts a NaN first, so nothing left beats the bar
-                break
-            threshold = _midpoint(float(x[f, i]), float(x[f, i + 1]))
-            if threshold is not None:
-                if gain > bar:  # false for a NaN gain
-                    best = SplitCandidate(feature=f0 + f, threshold=threshold, gain=gain)
-                break
-            gains[f, i] = -np.inf
+    bar = 0.0
+    for f0 in range(0, num_features, per_tile):  # ascending f: ties keep lowest
+        chunks = []
+        for a in range(0, c - 1, chunk):  # cuts a to a + chunk - 1
+            tile = block[f0 : f0 + per_tile, a : a + chunk + 1]
+            idx = tile.astype(np.intp)  # faster gathers
+            g = grad.take(idx)
+            if a:
+                g[:, 0] = gs[:, -1]  # position a closed the last chunk: its sum
+            gs = g.cumsum(axis=1)
+            x = (columns[f0].take(idx) if per_tile == 1
+                 else values.take(idx + starts[f0 : f0 + per_tile]))
+            chunks.append((a, gs, x[:, :-1] == x[:, 1:]))  # no cut between equal values
+        G = gs[:, -1:]
+        G_term = G * G / (H + lam)
+        for a, gs, tied in chunks:
+            width = tied.shape[1]
+            # One node's Hessian sums serve every feature.
+            GL, HL = gs[:, :-1], hess_prefix[a : a + width]
+            # 0.5 * (GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ)): its operations in its
+            # order, so the bits are the oracle's, with fewer temporaries.
+            gains = GL * GL
+            gains /= HL + lam
+            right = G - GL
+            right *= right
+            HR_lam = H - HL
+            HR_lam += lam
+            right /= HR_lam
+            gains += right
+            gains -= G_term
+            gains *= 0.5
+            np.putmask(gains, tied, -np.inf)
+            while True:
+                f, i = divmod(int(gains.argmax()), width)  # first max: lowest f, then cut
+                gain = float(gains[f, i])
+                if gain <= bar:  # argmax puts a NaN first, so nothing left beats the bar
+                    break
+                feature, cut = f0 + f, a + i
+                lo = columns.item(feature, block.item(feature, cut))
+                threshold = _midpoint(lo, columns.item(feature, block.item(feature, cut + 1)))
+                if threshold is not None:
+                    if gain > bar:  # false for a NaN gain
+                        best, bar = SplitCandidate(feature, threshold, gain), gain
+                    break
+                gains[f, i] = -np.inf
     return best
 
 
@@ -561,80 +584,6 @@ def _midpoint(lo: float, hi: float) -> float | None:
     total = lo + hi  # Python floats: an overflow to inf raises no warning
     threshold = 0.5 * total if math.isfinite(total) else 0.5 * lo + 0.5 * hi
     return threshold if threshold > lo else None
-
-
-def _scan_in_chunks(
-    grad: np.ndarray,
-    hess_prefix: np.ndarray,
-    config: TrainConfig,
-    block: np.ndarray,
-    columns: np.ndarray,
-) -> SplitCandidate | None:
-    """:func:`find_best_split` on a node of more than ``SCAN_CHUNK`` rows,
-    one feature at a time in chunks of ``SCAN_CHUNK``, with the result that
-    one whole-feature pass per feature gives.
-
-    Adding the carry to a chunk's first gradient before its ``cumsum`` is
-    the next step of the same left-to-right sum, so the prefix sums are
-    bit for bit those of one ``cumsum`` along the feature.  The first
-    maximum of each chunk that beats the bar is taken and raises the bar,
-    so equal gains keep the lowest feature, then the lowest threshold.  A
-    NaN gain is never taken, and a feature with one has no positive gain
-    to lose: a NaN needs G²/(H+λ) to be inf or NaN, and then every gain of
-    the feature is -inf or NaN."""
-    num_features, c = block.shape
-    chunk = SCAN_CHUNK
-    H = hess_prefix[c - 1]
-    lam = config.reg_lambda
-    gs = np.empty(c)  # one feature's gradient prefix sums
-    tied = np.empty(c - 1, dtype=bool)  # cut i lies between equal values
-
-    best: SplitCandidate | None = None
-    bar = 0.0
-    for f in range(num_features):  # ascending f: ties keep lowest
-        order, column = block[f], columns[f]
-        for a in range(0, c, chunk):
-            idx = order[a : a + chunk].astype(np.intp)  # faster gathers
-            g = grad.take(idx)
-            if a:
-                g[0] += gs[a - 1]
-            g.cumsum(out=gs[a : a + g.shape[0]])
-            x = column.take(idx)
-            np.equal(x[:-1], x[1:], out=tied[a : a + x.shape[0] - 1])
-            if a:
-                tied[a - 1] = last == x[0]
-            last = x[-1]
-        G = gs[c - 1]
-        G_term = G * G / (H + lam)
-        for a in range(0, c - 1, chunk):
-            b = min(a + chunk, c - 1)
-            GL, HL = gs[a:b], hess_prefix[a:b]
-            # The operations of the whole-pass gain, in the same order.
-            gains = GL * GL
-            gains /= HL + lam
-            right = G - GL
-            right *= right
-            den = H - HL
-            den += lam
-            right /= den
-            gains += right
-            gains -= G_term
-            gains *= 0.5
-            gains[tied[a:b]] = -np.inf
-            while True:
-                i = int(gains.argmax())  # first max: lowest threshold
-                gain = float(gains[i])
-                if gain <= bar:  # argmax puts a NaN first
-                    break
-                lo = float(column[order[a + i]])
-                threshold = _midpoint(lo, float(column[order[a + i + 1]]))
-                if threshold is None:
-                    gains[i] = -np.inf
-                    continue
-                if gain > bar:  # false for a NaN gain
-                    best, bar = SplitCandidate(feature=f, threshold=threshold, gain=gain), gain
-                break
-    return best
 
 
 def _partition(block: np.ndarray, goes_left: np.ndarray, n_left: int) -> None:
@@ -749,10 +698,11 @@ def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> Stag
     indices below n.  Any other layout (a C-ordered matrix, a strided
     view) is copied once per fit.  It is argsorted into a (k, n) int32
     block of row indices, which every tree copies into one work block and
-    partitions in place node by node (see :func:`_grow_tree`), and nodes of
-    more than ``SCAN_CHUNK`` rows are scanned in chunks (see
-    :func:`find_best_split`).  So beside the features and that block, tree
-    growth holds one more (k, n) int32 block, a row vector and a few
+    partitions in place node by node (see :func:`_grow_tree`), and split
+    search scans a node in tiles of at most ``SCAN_CHUNK`` cuts of one
+    feature, or of whole features in a node of at most ``SCAN_CHUNK`` rows
+    (see :func:`find_best_split`).  So beside the features and that block,
+    tree growth holds one more (k, n) int32 block, a row vector and a few
     n-long vectors, whatever the size of its largest node.  Every tree
     takes its Hessian sums from one prefix vector of the round's Hessian,
     built again only when that number changes.  Training runs on the
@@ -761,7 +711,11 @@ def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> Stag
     Each loss is evaluated with numpy's overflow and invalid-value warnings
     off.  A loss that is not finite, at the base score (round 0) or after
     any round, is an :class:`ObjectiveError` naming the round: past it,
-    the gains would be NaN.
+    the gains would be NaN.  So is a loss after any round above the loss
+    before round 1: a model worse than its own constant base score has
+    diverged, whatever the panel (stage 2 from about 55 products a week,
+    where the diagonal Hessian misses the weekly coupling).  Smaller rises
+    that stay below it are let through.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -792,6 +746,11 @@ def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> Stag
         del leaves  # the tree's row vector, before the next tree makes its own
         trees.append(tree)
         losses.append(_checked_loss(objective, preds, len(trees)))
+        if losses[-1] > losses[0]:
+            raise ObjectiveError(
+                f"loss after round {len(trees)} is {losses[-1]!r}, above the "
+                f"{losses[0]!r} before round 1: the fit diverges"
+            )
 
     model = GbdtModel(
         base_score=base,

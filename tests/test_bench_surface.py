@@ -5,6 +5,7 @@ must fail here, not only when the benchmark runs."""
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import triboost
@@ -50,3 +51,40 @@ def test_tracer_wraps_every_layer_and_restores_it(bench):
     after = _triboost_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_tracer_counts_the_split_search(bench):
+    # The tracer counts a search's rows as the length of find_best_split's
+    # first positional argument; the nodes it searched are the tree's
+    # splits and the leaves above max_depth that hold two rows or more.
+    tracing, _ = bench
+    dataset, _ = triboost.scenario.generate(triboost.ScenarioConfig())
+    X = dataset.features[: dataset.m]
+    objective = triboost.objectives.Stage1Objective(
+        triboost.objectives.StageTargets(dataset.actuals))
+    cfg = triboost.TrainConfig(num_rounds=1, max_depth=6)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        with tracer.active("job", "fit"):
+            (tree,) = triboost.gbdt.fit(X, objective, cfg).model.trees
+    finally:
+        tracer.close()
+    searched, rows, found = 0, 0, 0
+    stack = [(0, np.arange(len(X)), 0)]
+    while stack:
+        idx, node_rows, depth = stack.pop()
+        node = tree.nodes[idx]
+        if isinstance(node, triboost.gbdt.SplitNode):
+            left = X[node_rows, node.feature] < node.threshold
+            stack += [(node.left, node_rows[left], depth + 1),
+                      (node.right, node_rows[~left], depth + 1)]
+        if depth < cfg.max_depth and len(node_rows) >= 2:
+            searched += 1
+            rows += len(node_rows)
+            found += isinstance(node, triboost.gbdt.SplitNode)
+    assert found == sum(isinstance(node, triboost.gbdt.SplitNode) for node in tree.nodes)
+    assert 0 < found < searched  # some nodes searched and left as leaves
+    assert dict(tracer.counts["job"]) == {"split_found": found, "split_rows": rows}
+    calls = [span for span in tracer.spans if span[0] == "gbdt.find_best_split"]
+    assert len(calls) == searched

@@ -775,6 +775,31 @@ class TestExitCodes:
             "predictions overflow float64\n")
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("products, round_", [(55, 53), (100, 1), (50, None)])
+    def test_diverging_stage_is_validation(self, tmp_path, capsys, products, round_):
+        # 40 + 10 weeks, one entrant at week 40, default training config.
+        # From about 55 products a week stage 2's loss climbs above its
+        # value before round 1 (at 100 on the first round), and train used
+        # to exit 0 with losses up to 1e205 in manifest.json.  At 50 the
+        # loss rises on a few late rounds but stays below it.
+        data, out = tmp_path / "data", tmp_path / "m"
+        assert main(["generate", "--out", str(data),
+                     "--set", f"num_products={products}", "--set", "num_weeks_hist=40",
+                     "--set", "num_weeks_future=10",
+                     "--set", f"launch_schedule=P{products - 1}:40"]) == 0
+        code, captured = run(["train", "--data", str(data / "train.csv"),
+                              str(data / "test.csv"), "--out", str(out)], capsys)
+        if round_ is None:
+            assert (code, captured.err) == (0, "")
+            curves = json.loads((out / "manifest.json").read_text())["loss_curves"]
+            assert all(max(curve) <= curve[0] for curve in curves.values())
+            return
+        assert code == 3
+        assert re.fullmatch(
+            rf"validation: stage2: loss after round {round_} is \S+, above the \S+ "
+            r"before round 1: the fit diverges\n", captured.err)
+        assert not any(out.iterdir())  # no model and no manifest
+
     def test_overflowing_prediction_is_validation(self, ws, tmp_path, capsys):
         # A stage-1 prediction of 1e200 used to give exit 0 and a report
         # holding "rmse": Infinity.

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -370,6 +370,11 @@ class TestChunkedScan:
         lam=st.sampled_from([0.0, 0.5]),
     )
     @settings(max_examples=60, deadline=None)
+    # Nodes whose cuts fill their chunks exactly, so the last row is the
+    # only one past the last full chunk: two chunks, and a single one
+    # (n = chunk + 1).
+    @example(n=5, k=1, chunk=2, seed=0, h=2.0 / 7.0, lam=0.0)
+    @example(n=5, k=2, chunk=4, seed=1, h=1.0, lam=0.5)
     def test_matches_brute_force(self, n, k, chunk, seed, h, lam):
         # Ties and adjacent floats (whose midpoint is no threshold) fall at
         # every chunk position, and a tie straddles the first boundary.
@@ -728,6 +733,22 @@ class TestFitLossCheck:
         X = np.arange(6.0).reshape(-1, 1)
         with pytest.raises(ObjectiveError, match="loss after round 3 is nan"):
             fit(X, NanFromRoundThree(), TrainConfig(num_rounds=5))
+
+    def test_loss_above_its_start_names_the_round(self):
+        # A loss may rise on a round, but not above its value before round 1.
+        class RisingOnRoundsTwoAndThree:
+            inner = mse_objective(np.arange(6.0))
+            base_score, grad_hess = inner.base_score, inner.grad_hess
+            rounds = -1
+
+            def loss(self, preds):
+                self.rounds += 1
+                return {0: 2.9, 1: 2.0, 2: 2.5, 3: 3.0}[self.rounds]
+
+        X = np.arange(6.0).reshape(-1, 1)
+        with pytest.raises(ObjectiveError, match=r"loss after round 3 is 3\.0, above "
+                           r"the 2\.9 before round 1: the fit diverges"):
+            fit(X, RisingOnRoundsTwoAndThree(), TrainConfig(num_rounds=5))
 
 
 class TestPredict:
