@@ -24,13 +24,13 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .gbdt import GbdtModel, load_model, save_model
+from .gbdt import GbdtModel, TrainConfig, load_model, save_model
 from .metrics import category_adherence, product_metrics
 from .panel import (
     GroupLayout, _open_output, _parse_float, _parse_int, _read_csv, _writing, load_panel_csv,
 )
 from .pipeline import (
-    STAGES, PipelineConfig, _in_stage, diagnose, predict_stages, run_pipeline,
+    STAGES, _in_stage, diagnose, predict_stages, run_pipeline,
 )
 from .scenario import generate, write_scenario
 
@@ -242,13 +242,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trained_config(models_dir: str) -> PipelineConfig:
-    """Stage 1's config as ``train`` echoed it into the models' manifest,
-    parsed and checked as ``train --config`` parses a file."""
+def _trained_config(models_dir: str) -> TrainConfig:
+    """Stage 1's config, which the held-out refit trains with, as ``train``
+    echoed it into the models' manifest, parsed as ``train --config`` parses a file."""
     path = Path(models_dir) / "manifest.json"
     try:
         stage1 = json.loads(path.read_text(encoding="utf-8"))["config"]["stage1"]
-        return cfgmod.pipeline_config_from_mapping({k: str(v) for k, v in stage1.items()})
+        return cfgmod.pipeline_config_from_mapping({k: str(v) for k, v in stage1.items()}).stage1
     except (OSError, RecursionError, ValueError, LookupError, TypeError, AttributeError,
             ValidationError) as exc:  # ValueError covers undecodable and invalid JSON
         raise PersistenceError(f"{path}: no stage-1 config: {type(exc).__name__}: {exc}") from exc
@@ -257,15 +257,16 @@ def _trained_config(models_dir: str) -> PipelineConfig:
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     config = _trained_config(args.models)
     dataset = load_panel_csv(args.data)
-    outputs = predict_stages(dataset, _load_models(args.models))
-    report = diagnose(dataset, outputs, config)
+    model1, model2, _ = _load_models(args.models)  # all three are checked
+    X = dataset.features
+    report = diagnose(dataset, model1.predict(X), model2.predict(X), config)
     _write_json(args.out, {
         **report.to_dict(),
         "manifest": {
             "command": "diagnose",
             "data": list(args.data),
             "models": args.models,
-            "config": cfgmod.train_config_echo(config.stage1),
+            "config": cfgmod.train_config_echo(config),
         },
     })
     return 0

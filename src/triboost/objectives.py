@@ -74,7 +74,7 @@ def pred_ratio(stage1_preds: np.ndarray, layout: GroupLayout) -> np.ndarray:
     if bad.size:
         w = int(layout.weeks[bad[0]])
         raise DegenerateRatioError(
-            f"week {w}: stage-1 predictions sum to {sums[bad[0]]!r}, "
+            f"week {w}: stage-1 predictions sum to {float(sums[bad[0]])}, "
             "cannot form shares"
         )
     return p / layout.expand(sums)

@@ -16,15 +16,17 @@ signal.
 
 :data:`STAGES` names the passes; ``run_stage1/2/3`` each return a
 :class:`StageFit`.  :func:`predict_stages` turns three trained models into
-:class:`StageOutputs`, as :func:`run_pipeline` does with the ones it fits.
-Every ensemble here, the held-out refit and the probe included, is fitted
-by ``_fit_stage``.
+:class:`StageOutputs`, as :func:`run_pipeline` does with the ones it fits;
+stage 3's targets are formed only where read: in its fit and in
+:attr:`StageOutputs.stage3_targets`.  Every ensemble here, the held-out
+refit and the probe included, is fitted by ``_fit_stage``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,24 +73,29 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class StageOutputs:
-    """Row-aligned predictions of the three passes plus stage 3's targets:
-    stage 1's shares, ``pred_ratio(stage1, layout)``, rescaled to the totals."""
+    """Row-aligned predictions of the three passes and the panel's week
+    ``layout``, from which stage 3's targets are formed when first read."""
 
     stage1: np.ndarray
     stage2: np.ndarray
     stage3: np.ndarray
-    stage3_targets: StageTargets
+    layout: GroupLayout
+
+    @cached_property
+    def stage3_targets(self) -> StageTargets:
+        """Stage 3's targets as its fit forms them, on first access: stage
+        1's shares, ``pred_ratio(stage1, layout)``, rescaled to the totals."""
+        return stage3_target(pred_ratio(self.stage1, self.layout), self.layout)
 
 
 @dataclass(frozen=True)
 class ProbeResult:
     """Constraint-only training on a week-only view of the data: its gaps to
-    each week's total/count, its loss curve and the number of rounds it ran."""
+    each week's total/count and its loss curve (one loss per round, plus the start)."""
 
     max_abs_gap: float
     max_rel_gap: float
     loss_curve: tuple[float, ...]
-    rounds: int
 
 
 @dataclass(frozen=True)
@@ -207,16 +214,10 @@ def run_stage3(
     Stage-2 predictions enter as an input column only — the targets come
     from stage-1 shares and the category totals.
     """
-    targets = _shares(dataset, stage1_preds)
+    targets = stage3_target(pred_ratio(stage1_preds, dataset.layout), dataset.layout)
     X3 = stage3_features(dataset.features, stage2_preds)
     objective = Stage3Objective(dataset.layout, targets)
     return _fit_stage(X3, objective, config, dataset.n)
-
-
-def _shares(dataset: PanelDataset, stage1_preds: np.ndarray) -> StageTargets:
-    """Each row's share of its week's stage-1 prediction, rescaled to the
-    category totals: stage 3's targets."""
-    return stage3_target(pred_ratio(stage1_preds, dataset.layout), dataset.layout)
 
 
 def predict_stages(dataset: PanelDataset, models: Sequence[GbdtModel]) -> StageOutputs:
@@ -226,7 +227,7 @@ def predict_stages(dataset: PanelDataset, models: Sequence[GbdtModel]) -> StageO
     X = dataset.features
     s1, s2 = model1.predict(X), model2.predict(X)
     s3 = model3.predict(stage3_features(X, s2))
-    return StageOutputs(s1, s2, s3, _shares(dataset, s1))
+    return StageOutputs(s1, s2, s3, dataset.layout)
 
 
 def _in_stage(name: str, call: Callable):
@@ -254,12 +255,10 @@ def run_pipeline(
     s1 = _in_stage(name1, lambda: run_stage1(dataset, cfg1))
     s2 = _in_stage(name2, lambda: run_stage2(dataset, s1.preds, cfg2))
     s3 = _in_stage(name3, lambda: run_stage3(dataset, s1.preds, s2.preds, cfg3))
-    outputs = StageOutputs(s1.preds, s2.preds, s3.preds, _shares(dataset, s1.preds))
-    report = None
-    if with_diagnostics:
-        report = diagnose(dataset, outputs, config)
+    report = diagnose(dataset, s1.preds, s2.preds, cfg1) if with_diagnostics else None
     return PipelineResult(
-        outputs=outputs, diagnostics=report, stage1=s1, stage2=s2, stage3=s3
+        outputs=StageOutputs(s1.preds, s2.preds, s3.preds, dataset.layout),
+        diagnostics=report, stage1=s1, stage2=s2, stage3=s3,
     )
 
 
@@ -326,7 +325,6 @@ def trivial_solution_probe(dataset: PanelDataset) -> ProbeResult:
         max_abs_gap=float(np.max(gap)),
         max_rel_gap=float(np.max(rel_gap, initial=0.0)),
         loss_curve=probe.loss_curve,
-        rounds=config.num_rounds,
     )
 
 
@@ -352,11 +350,12 @@ def bias_tally(errors: np.ndarray) -> tuple[str, float]:
 
 def diagnose(
     dataset: PanelDataset,
-    outputs: StageOutputs,
-    config: PipelineConfig | None = None,
+    stage1: np.ndarray,
+    stage2: np.ndarray,
+    config: TrainConfig = TrainConfig(),
 ) -> DiagnosticsReport:
-    """Failure-mode report for a finished run; see the module docstring."""
-    config = config or PipelineConfig()
+    """Failure-mode report from a run's stage-1 and stage-2 predictions; the
+    held-out refit trains with ``config``, stage 1's.  See the module docstring."""
     layout = dataset.layout
     n = dataset.n
 
@@ -366,7 +365,7 @@ def diagnose(
     # MetricError naming its stage, so the report never holds Infinity or
     # NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = layout.weekly_sums(outputs.stage1)
+        sums = layout.weekly_sums(stage1)
         deviation = sums - layout.totals
         squared_sum = float(np.sum(deviation[future] ** 2))
     _check_finite("stage1", {"squared weekly deviation sum": squared_sum})
@@ -385,9 +384,9 @@ def diagnose(
     # fixed fit-capacity floor.
     # The future rows' pseudo-labels are the stage-1 predictions verbatim.
     with np.errstate(over="ignore", invalid="ignore"):
-        fit_err = outputs.stage1[dataset.m :] - outputs.stage2[dataset.m :]
+        fit_err = stage1[dataset.m :] - stage2[dataset.m :]
         fit_term = float(np.sum(fit_err * fit_err) / n)
-        R = layout.residuals(outputs.stage2)
+        R = layout.residuals(stage2)
         constraint_term = float(np.sum(R * R) / n)
         constraint_future = float(np.sum(R[future] * R[future]) / n)
     # Python floats: a ratio that overflows is inf, with no warning.
@@ -411,7 +410,7 @@ def diagnose(
         stage2_term_ratio=ratio,
         trivial_probe_max_abs_gap=probe.max_abs_gap,
         trivial_probe_max_rel_gap=probe.max_rel_gap,
-        trivial_probe_rounds=probe.rounds,
+        trivial_probe_rounds=len(probe.loss_curve) - 1,
     )
 
 
@@ -425,9 +424,7 @@ def _check_finite(stage: str, terms: dict[str, float]) -> None:
             )
 
 
-def _held_out_bias(
-    dataset: PanelDataset, config: PipelineConfig
-) -> tuple[str, float]:
+def _held_out_bias(dataset: PanelDataset, config: TrainConfig) -> tuple[str, float]:
     """Refit stage 1 without the last fifth of historical weeks and tally
     the sign of its errors there.  One-sided errors on weeks the model
     never saw are the evidence that its future predictions will be biased
@@ -441,5 +438,5 @@ def _held_out_bias(
     # historical block, and the head is the rows before the first of them.
     head = int(layout.starts[len(hist_weeks) - tail_count])
     objective = Stage1Objective(StageTargets(dataset.actuals[:head]))
-    refit = _fit_stage(dataset.features[: dataset.m], objective, config.stage1, head)
+    refit = _fit_stage(dataset.features[: dataset.m], objective, config, head)
     return bias_tally(refit.preds[head:] - dataset.actuals[head:])

@@ -1,15 +1,25 @@
 import codecs
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 import re
+import shutil
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from triboost import pipeline
 from triboost.cli import MODEL_FILES, main
 from triboost.panel import load_panel_csv
+from triboost.pipeline import STAGES
+from triboost.scenario import CURVE_KINDS
 
 SCN = [
     "--set", "num_products=3",
@@ -497,6 +507,77 @@ class TestDiagnose:
         assert not out.exists()
 
 
+class TestZeroStage1Model:
+    """A stage-1 model that predicts 0 on every row leaves no week with
+    shares.  Stage 3's targets are formed from them only in training, so
+    predict and diagnose, which never write them, succeed."""
+
+    @pytest.fixture
+    def models(self, ws, tmp_path, monkeypatch):
+        models = tmp_path / "models"
+        shutil.copytree(ws / "models", models)
+        doc = json.loads((models / MODEL_FILES["stage1"]).read_text())
+        doc.update(trees=[], base_score=0.0)
+        (models / MODEL_FILES["stage1"]).write_text(json.dumps(doc))
+
+        def unread(*args):
+            raise AssertionError("stage-1 shares formed")
+
+        monkeypatch.setattr(pipeline, "pred_ratio", unread)
+        return models
+
+    @pytest.mark.parametrize("command", ["predict", "diagnose"])
+    def test_command_succeeds(self, ws, models, tmp_path, capsys, command):
+        data = ws / "data"
+        out = tmp_path / "out"
+        code, captured = run([command, "--data", str(data / "train.csv"),
+                              str(data / "test.csv"), "--models", str(models),
+                              "--out", str(out)], capsys)
+        assert (code, captured.err) == (0, "")
+        if command == "predict":
+            with out.open(newline="") as fh:
+                assert {row["stage1"] for row in csv.DictReader(fh)} == {"0.0"}
+
+    def test_diagnose_checks_the_stage3_model(self, ws, models, tmp_path, capsys):
+        (models / MODEL_FILES["stage3"]).write_text("{not json")
+        data = ws / "data"
+        code, captured = run(["diagnose", "--data", str(data / "train.csv"),
+                              str(data / "test.csv"), "--models", str(models),
+                              "--out", str(tmp_path / "d.json")], capsys)
+        assert code == 5
+        assert captured.err.startswith(
+            f"persistence: {models / MODEL_FILES['stage3']}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_train_names_stage3(self, tmp_path, capsys):
+        # All-zero history: stage 1 predicts 0, and stage 3 has no shares.
+        data = tmp_path / "panel.csv"
+        data.write_text(
+            "product_id,week,sales,category_total,f_0\n"
+            "P0,0,0.0,,0.1\nP1,0,0.0,,0.7\nP0,1,,10.0,0.2\nP1,1,,10.0,0.9\n"
+        )
+        code, captured = run(["train", "--data", str(data), "--out",
+                              str(tmp_path / "m"), "--set", "num_rounds=5"], capsys)
+        assert code == 3
+        assert captured.err == ("validation: stage3: week 0: stage-1 predictions "
+                                "sum to 0.0, cannot form shares\n")
+
+
+@st.composite
+def panel_shapes(draw):
+    """(products a week, historical weeks, future weeks, launch weeks,
+    curve kind, training rounds) of a scenario ``generate`` accepts: one
+    to three launches of distinct weeks, at least one in the future."""
+    products = draw(st.integers(2, 200))
+    weeks = draw(st.integers(2, 60))
+    hist = draw(st.integers(1, weeks - 1))
+    first = draw(st.integers(hist, weeks - 1))
+    others = draw(st.sets(st.integers(1, weeks - 1), max_size=min(2, products - 2)))
+    launches = (first, *sorted(others - {first}))
+    curve = draw(st.sampled_from(CURVE_KINDS))
+    return products, hist, weeks - hist, launches, curve, draw(st.integers(1, 30))
+
+
 class TestExitCodes:
     def test_no_command_is_usage(self, capsys):
         code, captured = run([], capsys)
@@ -538,6 +619,42 @@ class TestExitCodes:
             capsys)
         assert code == 4
         assert captured.err.startswith("constraint-data: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "{path}: empty file, header required"),
+        ("product_id,week,sales,category_total,f_0\n", "dataset has no rows"),
+    ], ids=["zero-bytes", "header-only"])
+    def test_panel_without_rows_is_validation(self, tmp_path, capsys, text, message):
+        data = tmp_path / "panel.csv"
+        data.write_text(text)
+        code, captured = run(["train", "--data", str(data), "--out",
+                              str(tmp_path / "m")], capsys)
+        assert code == 3
+        assert captured.err == f"validation: {message.format(path=data)}\n"
+
+    def test_tree_without_nodes_is_persistence(self, ws, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(ws / "models", models)
+        path = models / MODEL_FILES["stage2"]
+        doc = json.loads(path.read_text())
+        doc["trees"][0]["nodes"] = []
+        path.write_text(json.dumps(doc))
+        data = ws / "data"
+        code, captured = run([
+            "predict", "--data", str(data / "train.csv"), str(data / "test.csv"),
+            "--models", str(models), "--out", str(tmp_path / "p.csv"),
+        ], capsys)
+        assert code == 5
+        assert captured.err == "persistence: tree with no nodes\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_zero_curve_period_is_validation(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        code, captured = run(["generate", "--out", str(out), "--set", "curve_period=0"],
+                             capsys)
+        assert code == 3
+        assert captured.err == "validation: curve period must be > 0, got 0.0\n"
+        assert not out.exists()
 
     def test_missing_model_is_persistence(self, ws, tmp_path, capsys):
         data = ws / "data"
@@ -799,6 +916,53 @@ class TestExitCodes:
             rf"validation: stage2: loss after round {round_} is \S+, above the \S+ "
             r"before round 1: the fit diverges\n", captured.err)
         assert not any(out.iterdir())  # no model and no manifest
+
+    @given(shape=panel_shapes())
+    @settings(max_examples=60, deadline=None)
+    # 40 + 10 weeks and one entrant at week 40: stage 2 diverges on the
+    # first round.
+    @example(shape=(100, 40, 10, (40,), "seasonal", 30))
+    @example(shape=(200, 40, 10, (40,), "seasonal", 30))
+    def test_any_panel_shape_trains_or_names_its_error(self, shape):
+        # train either converges, with finite predictions and strict JSON, or
+        # exits with a documented code and one stderr line naming the fault.
+        products, hist, future, launches, curve, rounds = shape
+        width = len(str(products - 1))  # generate's ids: P0..P9, P00..P99, ...
+        schedule = ",".join(f"P{products - 1 - i:0{width}d}:{week}"
+                            for i, week in enumerate(launches))
+        with tempfile.TemporaryDirectory() as root:
+            data, models, preds = Path(root, "data"), Path(root, "m"), Path(root, "p.csv")
+            data_args = ["--data", str(data / "train.csv"), str(data / "test.csv")]
+            assert main(["generate", "--out", str(data),
+                         "--set", f"num_products={products}",
+                         "--set", f"num_weeks_hist={hist}",
+                         "--set", f"num_weeks_future={future}",
+                         "--set", f"launch_schedule={schedule}",
+                         "--set", f"curve={curve}"]) == 0
+            for argv in (["train", *data_args, "--out", str(models),
+                          "--set", f"num_rounds={rounds}"],
+                         ["predict", *data_args, "--models", str(models),
+                          "--out", str(preds)]):
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main(argv)
+                if code != 0:
+                    category = {3: "validation", 4: "constraint-data", 5: "persistence"}
+                    assert code in category
+                    assert re.fullmatch(rf"{category[code]}: [^\n]+\n", err.getvalue())
+                    return
+                assert err.getvalue() == ""
+
+            def reject(constant):
+                raise ValueError(f"not strict JSON: {constant}")
+
+            manifest = json.loads((models / "manifest.json").read_text(),
+                                  parse_constant=reject)
+            for curve_ in manifest["loss_curves"].values():
+                assert max(curve_) <= curve_[0]
+            with preds.open(newline="") as fh:
+                values = [float(row[s]) for row in csv.DictReader(fh) for s in STAGES]
+            assert len(values) == 3 * (products * (hist + future) - sum(launches))
+            assert all(math.isfinite(v) for v in values)
 
     def test_overflowing_prediction_is_validation(self, ws, tmp_path, capsys):
         # A stage-1 prediction of 1e200 used to give exit 0 and a report

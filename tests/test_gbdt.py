@@ -421,6 +421,39 @@ class TestChunkedScan:
                 chunked = find_best_split(np.arange(n), grad, prefix(1.0, n), cfg, **kw)
         assert chunked == whole
 
+    @pytest.mark.parametrize("chunk", [gbdt.SCAN_CHUNK, 16])
+    def test_tied_cuts_never_reach_the_midpoint_rule(self, chunk):
+        # Each feature takes two values, so all cuts but one lie between
+        # equal values, and the highest gains do too.  The tie flags drop
+        # those cuts before a tile's argmax, so a tile calls _midpoint for
+        # its winner alone; without them it rejects the tied cuts one
+        # Python iteration at a time.  At SCAN_CHUNK the node is one tile of
+        # every feature; at 16, one tile per feature and 16 cuts.
+        rng = np.random.default_rng(5)
+        n, k = 120, 3
+        X = rng.integers(0, 2, size=(n, k)).astype(np.float64)
+        grad = rng.normal(size=n)
+        cfg = TrainConfig(reg_lambda=0.5)
+        calls = 0
+        real = gbdt._midpoint
+
+        def midpoint(lo, hi):
+            nonlocal calls
+            calls += 1
+            return real(lo, hi)
+
+        with mock.patch.object(gbdt, "SCAN_CHUNK", chunk), \
+                mock.patch.object(gbdt, "_midpoint", midpoint):
+            got = find_best_split(np.arange(n), grad, prefix(1.0, n), cfg,
+                                  **node_block(range(n), X))
+        if n <= chunk:
+            tiles = -(-k // max(1, gbdt.SCAN_BUDGET // n))
+        else:
+            tiles = k * -(-(n - 1) // chunk)
+        assert 1 <= calls <= tiles
+        want = brute_force_split(list(range(n)), grad, np.ones(n), X, cfg)
+        assert got is not None and (got.feature, got.threshold, got.gain) == want
+
 
 class TestFit:
     def test_two_level_exact(self):

@@ -120,7 +120,8 @@ class TestPredRatio:
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
 
     def test_degenerate_sum_names_week(self, two_week_panel):
-        with pytest.raises(DegenerateRatioError, match="week 1"):
+        with pytest.raises(DegenerateRatioError, match=(
+                r"^week 1: stage-1 predictions sum to 0\.0, cannot form shares$")):
             pred_ratio(np.array([3.0, 1.0, 1.0, -1.0]), two_week_panel.layout)
 
     @pytest.mark.parametrize("k", [0.5, 1.3, 10.0])

@@ -447,6 +447,10 @@ class TestCsvIo:
             assert got == expected, f"chunks of {chunk} rows"
         assert b'"a,b"' in got and b'"a""b"' in got and b'"a\nb"' in got
 
+    def test_no_paths_rejected(self):
+        with pytest.raises(ValidationError, match="^no input files given$"):
+            load_panel_csv([])
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("product_id,week,sales\nP0,0,1.0\n")

@@ -1,3 +1,4 @@
+import sys
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from triboost.pipeline import (
     PipelineConfig,
     bias_tally,
     diagnose,
+    predict_stages,
     probe_config,
     pseudo_label_targets,
     run_pipeline,
@@ -136,6 +138,28 @@ class TestRunPipeline:
         with pytest.raises(DegenerateRatioError, match="^stage3: "):
             run_pipeline(ds, PipelineConfig(stage1=FAST))
 
+    def test_stage3_targets_are_worked_out_where_read(self, panel, monkeypatch):
+        # Stage 1's shares are formed in stage 3's fit and on the first read
+        # of stage3_targets: not by run_pipeline, predict_stages or diagnose.
+        callers = []
+        real = pipeline.pred_ratio
+
+        def counted(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "pred_ratio", counted)
+        result = run_pipeline(panel, PipelineConfig(stage1=FAST))
+        assert callers == ["run_stage3"]
+        models = [getattr(result, stage).model for stage in pipeline.STAGES]
+        out = predict_stages(panel, models)
+        diagnose(panel, out.stage1, out.stage2, FAST)
+        assert callers == ["run_stage3"]
+        targets = out.stage3_targets
+        assert out.stage3_targets is targets
+        assert callers == ["run_stage3", "stage3_targets"]
+        assert np.array_equal(targets.values, result.outputs.stage3_targets.values)
+
 
 class TestTrivialProbe:
     def test_recovers_per_week_constants(self, panel):
@@ -152,8 +176,8 @@ class TestTrivialProbe:
     def test_loss_curve_shape(self, panel):
         # Four weeks of two rows each: one round at learning rate 1/2.
         probe = trivial_solution_probe(panel)
-        assert probe.rounds == probe_config(panel.layout).num_rounds == 1
-        assert len(probe.loss_curve) == probe.rounds + 1
+        assert probe_config(panel.layout).num_rounds == 1
+        assert len(probe.loss_curve) == 2
         assert all(b <= a for a, b in
                    zip(probe.loss_curve, probe.loss_curve[1:]))
 
@@ -170,10 +194,9 @@ def assert_probe_converges(dataset) -> None:
     whenever the rule's round count is below its cap."""
     probe = trivial_solution_probe(dataset)
     config = probe_config(dataset.layout)
-    assert probe.rounds == config.num_rounds
-    assert len(probe.loss_curve) == probe.rounds + 1
+    assert len(probe.loss_curve) == config.num_rounds + 1
     assert np.all(np.diff(probe.loss_curve) <= 0.0)
-    if probe.rounds < PROBE_CONFIG.num_rounds:
+    if config.num_rounds < PROBE_CONFIG.num_rounds:
         assert probe.max_rel_gap <= 1e-12
 
 
@@ -261,7 +284,8 @@ class TestBiasTally:
 
 class TestDiagnose:
     def test_report_is_internally_consistent(self, panel, fast_result):
-        rep = diagnose(panel, fast_result.outputs, PipelineConfig(stage1=FAST))
+        out = fast_result.outputs
+        rep = diagnose(panel, out.stage1, out.stage2, FAST)
         future_weeks = panel.layout.weeks[panel.layout.is_future].tolist()
         assert sorted(rep.stage1_weekly_deviation) == future_weeks
         assert rep.stage1_squared_deviation_sum == pytest.approx(
@@ -275,7 +299,8 @@ class TestDiagnose:
         assert 0.0 <= rep.bias_consistency_rate <= 1.0
 
     def test_matches_pipeline_report(self, panel, fast_result):
-        rep = diagnose(panel, fast_result.outputs, PipelineConfig(stage1=FAST))
+        out = fast_result.outputs
+        rep = diagnose(panel, out.stage1, out.stage2, FAST)
         assert rep == fast_result.diagnostics
 
     def test_to_dict_structure(self, fast_result):
