@@ -57,6 +57,7 @@ from .errors import (
     ObjectiveError,
     PersistenceError,
     ValidationError,
+    plain_number,
     store_plain_numbers,
 )
 
@@ -268,9 +269,9 @@ class GbdtModel:
 
 @dataclass(frozen=True)
 class StageFit:
-    """A trained model, its predictions (:func:`fit`'s on its training
-    rows, a pipeline stage's on every row of the panel) and the loss
-    recorded before round 1 and after every round."""
+    """A trained model, its predictions on every row :func:`fit` was given
+    (the running ones on the rows it trained on, ``model.predict`` on the
+    rest) and the loss recorded before round 1 and after every round."""
 
     preds: np.ndarray
     model: GbdtModel
@@ -478,10 +479,9 @@ def find_best_split(
     stable ascending order of feature f (ties keep ascending row index);
     :func:`_grow_tree` passes a segment of its tree's work block.
     ``columns`` is a C-contiguous (k, N) feature block, one row per
-    feature, with N greater than every row index: a dataset's own
-    ``features.T``, which ``fit`` reads in place, also when it trains on a
-    row prefix of it, so that column f starts at ``f * N`` in its flat
-    view.
+    feature, with N greater than every row index: the block ``fit`` reads,
+    whose first ``train_rows`` columns are the rows it trains on, so that
+    column f starts at ``f * N`` in its flat view.
 
     The scan is one loop over tiles, a tile being a group of features and
     a chunk of their cuts, each scored in one 2-D gather, cumulative sum
@@ -680,33 +680,42 @@ def _grow_tree(
     return RegressionTree(nodes=tuple(nodes), max_depth_reached=deepest), leaves
 
 
-def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> StageFit:
-    """Train an ensemble of ``num_rounds`` trees against ``objective``.
+def fit(
+    features: np.ndarray,
+    objective: Objective,
+    config: TrainConfig,
+    *,
+    train_rows: int | None = None,
+) -> StageFit:
+    """Train an ensemble of ``num_rounds`` trees against ``objective`` on
+    the first ``train_rows`` rows of ``features`` (default: every row).
 
     Each round re-evaluates gradients/Hessians at the current predictions,
     grows one tree maximizing Newton gain, and advances predictions by
-    ``learning_rate`` times the leaf weights.  Returns the model, the
-    running predictions on the training rows, which are bit-identical to
-    ``model.predict(features)`` (each row gets the same ``lr * w``
-    additions in the same order), and the objective's loss before the
-    first round and after every round (length num_rounds + 1).
+    ``learning_rate`` times the leaf weights.  Returns the model, its
+    predictions on every row of ``features``, and the objective's loss
+    before the first round and after every round (length num_rounds + 1).
+    The predictions on the training rows are the running ones, which are
+    bit-identical to ``model.predict`` on those rows (each row gets the same
+    ``lr * w`` additions in the same order); the rest are
+    ``model.predict(features[train_rows:])``.  ``train_rows`` is an integer
+    in ``1..n``; anything else is a :class:`ValidationError`, and so is a
+    non-finite value in any row.
 
-    ``features.T`` is the (k, n) column block split search reads.  A
-    C-contiguous one, as a dataset's ``features`` gives, is read in place,
-    and so is a row prefix of one (stage 1's historical rows, the held-out
-    refit): split search then reads the whole block it views, at row
-    indices below n.  Any other layout (a C-ordered matrix, a strided
-    view) is copied once per fit.  It is argsorted into a (k, n) int32
-    block of row indices, which every tree copies into one work block and
-    partitions in place node by node (see :func:`_grow_tree`), and split
-    search scans a node in tiles of at most ``SCAN_CHUNK`` cuts of one
-    feature, or of whole features in a node of at most ``SCAN_CHUNK`` rows
-    (see :func:`find_best_split`).  So beside the features and that block,
-    tree growth holds one more (k, n) int32 block, a row vector and a few
-    n-long vectors, whatever the size of its largest node.  Every tree
-    takes its Hessian sums from one prefix vector of the round's Hessian,
-    built again only when that number changes.  Training runs on the
-    calling thread.
+    ``features.T`` is the (k, n) column block split search reads, with one
+    layout rule: a C-contiguous block, as a dataset's ``features`` and
+    stage 3's give, is read in place, and anything else (a C-ordered
+    matrix, a strided view) is copied once.  The training rows are argsorted
+    into a (k, train_rows) int32 block of row indices, which every tree
+    copies into one work block and partitions in place node by node (see
+    :func:`_grow_tree`), and split search scans a node in tiles of at most
+    ``SCAN_CHUNK`` cuts of one feature, or of whole features in a node of
+    at most ``SCAN_CHUNK`` rows (see :func:`find_best_split`).  So beside
+    the features and that block, tree growth holds one more such block, a
+    row vector and a few vectors of the training rows' length, whatever
+    the size of its largest node.  Every tree takes its Hessian sums from
+    one prefix vector of the round's Hessian, built again only when that
+    number changes.  Training runs on the calling thread.
 
     Each loss is evaluated with numpy's overflow and invalid-value warnings
     off.  A loss that is not finite, at the base score (round 0) or after
@@ -717,17 +726,21 @@ def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> Stag
     where the diagonal Hessian misses the weekly coupling).  Smaller rises
     that stay below it are let through.
     """
-    X = np.asarray(features, dtype=np.float64)
+    X = np.asarray(features)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValidationError(f"expected a non-empty 2-D feature matrix, got {X.shape}")
-    columns = X.T  # a view: a dataset's block, or a row prefix of it
-    del X  # a converted copy of a caller's non-float64 matrix is not kept
+    total = X.shape[0]
+    n = total if train_rows is None else plain_number(
+        "train_rows", train_rows, "int", ValidationError)
+    if not 1 <= n <= total:
+        raise ValidationError(f"train_rows must be in 1..{total}, got {n}")
+    # In place when C-contiguous; a caller's non-float64 matrix is
+    # converted and laid out in the same single copy.
+    columns = np.ascontiguousarray(X.T, dtype=np.float64)
     if not np.all(np.isfinite(columns)):
         raise ValidationError("feature matrix contains non-finite values")
-    k, n = columns.shape
-    presort = np.argsort(columns, axis=1, kind="stable").astype(np.int32)
-    if not columns.flags.c_contiguous:
-        columns = _enclosing_block(columns)
+    k = columns.shape[0]
+    presort = np.argsort(columns[:, :n], axis=1, kind="stable").astype(np.int32)
     base = float(objective.base_score())
     preds = np.full(n, base)
     losses = [_checked_loss(objective, preds, 0)]
@@ -758,26 +771,9 @@ def fit(features: np.ndarray, objective: Objective, config: TrainConfig) -> Stag
         feature_count=k,
         trees=tuple(trees),
     )
+    if n < total:
+        preds = np.concatenate([preds, model.predict(columns[:, n:].T)])
     return StageFit(preds=preds, model=model, loss_curve=tuple(losses))
-
-
-def _enclosing_block(columns: np.ndarray) -> np.ndarray:
-    """A C-contiguous (k, N) block whose first n columns are the (k, n)
-    ``columns``: the block it views when it is a row prefix of one, as
-    stage 1's historical rows of a dataset are, so that block is read in
-    place with row stride N; otherwise a C-contiguous copy."""
-    base = columns.base
-    if (
-        isinstance(base, np.ndarray)
-        and base.flags.c_contiguous
-        and base.dtype == columns.dtype
-        and base.strides == columns.strides
-        and base.shape[0] == columns.shape[0]
-        and base.shape[1] >= columns.shape[1]
-        and base.__array_interface__["data"][0] == columns.__array_interface__["data"][0]
-    ):
-        return base
-    return np.ascontiguousarray(columns)
 
 
 def _checked_loss(objective: Objective, preds: np.ndarray, rounds: int) -> float:

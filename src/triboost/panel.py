@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -204,7 +205,10 @@ class PanelDataset:
         historical rows, and ``sales`` is a float column whose values on
         future rows are ignored (so no row needs a Python float);
         ``category_totals`` mirrors a panel CSV's ``category_total`` column,
-        which only future rows need.  Each check runs on a whole column and
+        which only future rows need.  ``feature_names`` must be distinct
+        and none may be a :data:`PANEL_COLUMNS` name or ``category``, so
+        that :func:`save_panel_csv` writes a file :func:`load_panel_csv`
+        reads back.  Each check runs on a whole column and
         names its first bad row.  Row order and uniqueness are checked on
         adjacent differences of the week column and of each product's rank
         in string order; the first row out of order and the first repeated
@@ -226,6 +230,14 @@ class PanelDataset:
                 f"{lengths[1]} sales, {lengths[2]} category totals and a "
                 f"{features.shape} feature matrix for {k} features"
             )
+        seen: set[str] = set()
+        for name in feature_names:
+            if name in seen or name in PANEL_COLUMNS or name == "category":
+                reason = "appears twice" if name in seen else "names a fixed panel CSV column"
+                raise ValidationError(
+                    f"feature name {name!r} {reason}: a saved panel could not be loaded"
+                )
+            seen.add(name)
         weeks = np.asarray(week_of_row)
         if (i := _first(weeks < 0)) is not None:
             raise ValidationError(f"row {i}: negative week index {weeks[i]}")
@@ -530,16 +542,16 @@ def save_panel_csv(
 
     Floats are written with ``repr`` so a reload reproduces the dataset
     field-for-field.  ``rows`` (any iterable of row indices, in any order,
-    repeats allowed) is selected first.  The rows are then written
+    repeats allowed) is selected first; an item that is not an integer in
+    ``0..n-1`` (a bool is not one) is a :class:`ValidationError` naming
+    the first, raised before the file is opened.  The rows are then written
     ``_CHUNK_ROWS`` at a time: each column of a chunk is formatted once,
     and each row is its cells joined by ``,`` and ended by ``\\r\\n``.  Only
     a product id can need quoting, so each distinct id is quoted once by
     :func:`_csv_field`; the bytes are those ``csv.writer`` writes, and no
     string of the whole file is built.
     """
-    idx = np.arange(dataset.n)
-    if rows is not None:
-        idx = idx[np.fromiter(rows, dtype=np.intp)]
+    idx = np.arange(dataset.n) if rows is None else _row_indices(rows, dataset.n)
     layout = dataset.layout
     # A historical row shows its sales, a future row its week's total: one
     # float per row, formatted once and written with an empty cell after it
@@ -560,6 +572,24 @@ def save_panel_csv(
             ]
             fh.write("\r\n".join(map(",".join, zip(*columns))))
             fh.write("\r\n")
+
+
+def _row_indices(rows: Iterable[int], n: int) -> np.ndarray:
+    """``rows`` as an index array, when every item is an integer in
+    ``0..n-1``; otherwise a :class:`ValidationError` naming the first that
+    is not.  The whole list is checked by its types and its extremes, and
+    item by item only to name a bad one."""
+    picked = list(rows)
+    integers = all(
+        issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, picked))
+    )
+    if integers and (not picked or (min(picked) >= 0 and max(picked) < n)):
+        return np.array(picked, dtype=np.intp)
+    i, row = next(
+        (i, row) for i, row in enumerate(picked)
+        if isinstance(row, bool) or not isinstance(row, numbers.Integral) or not 0 <= row < n
+    )
+    raise ValidationError(f"rows[{i}] is {row!r}, not a row index in 0..{n - 1}")
 
 
 def _csv_field(text: str) -> str:

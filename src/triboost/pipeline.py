@@ -19,7 +19,10 @@ signal.
 :class:`StageOutputs`, as :func:`run_pipeline` does with the ones it fits;
 stage 3's targets are formed only where read: in its fit and in
 :attr:`StageOutputs.stage3_targets`.  Every ensemble here, the held-out
-refit and the probe included, is fitted by ``_fit_stage``.
+refit and the probe included, is one ``fit`` call on a whole block, which
+returns predictions on every row: stage 1 and the held-out refit train on
+a row prefix of the dataset's block (``train_rows``), and ``fit``
+predicts the rows after it.
 """
 
 from __future__ import annotations
@@ -177,21 +180,10 @@ def stage3_features(features: np.ndarray, stage2_preds: np.ndarray) -> np.ndarra
     return block.T
 
 
-def _fit_stage(X: np.ndarray, objective, config: TrainConfig, fit_rows: int) -> StageFit:
-    """Fit ``objective`` on the first ``fit_rows`` rows of ``X`` and return
-    predictions for every row of ``X``: ``fit`` returns its own on the rows
-    it trained on, so only the rest are predicted."""
-    result = fit(X[:fit_rows], objective, config)
-    if fit_rows == X.shape[0]:
-        return result
-    rest = result.model.predict(X[fit_rows:])
-    return replace(result, preds=np.concatenate([result.preds, rest]))
-
-
 def run_stage1(dataset: PanelDataset, config: TrainConfig) -> StageFit:
     """Fit squared error on the m historical rows; predict all n rows."""
     objective = Stage1Objective(StageTargets(dataset.actuals))
-    return _fit_stage(dataset.features, objective, config, dataset.m)
+    return fit(dataset.features, objective, config, train_rows=dataset.m)
 
 
 def run_stage2(
@@ -200,7 +192,7 @@ def run_stage2(
     """Refit on all n rows with pseudo-labels and the weekly sum penalty."""
     targets = pseudo_label_targets(dataset, stage1_preds)
     objective = Stage2Objective(dataset.layout, targets)
-    return _fit_stage(dataset.features, objective, config, dataset.n)
+    return fit(dataset.features, objective, config)
 
 
 def run_stage3(
@@ -217,7 +209,7 @@ def run_stage3(
     targets = stage3_target(pred_ratio(stage1_preds, dataset.layout), dataset.layout)
     X3 = stage3_features(dataset.features, stage2_preds)
     objective = Stage3Objective(dataset.layout, targets)
-    return _fit_stage(X3, objective, config, dataset.n)
+    return fit(X3, objective, config)
 
 
 def predict_stages(dataset: PanelDataset, models: Sequence[GbdtModel]) -> StageOutputs:
@@ -315,7 +307,7 @@ def trivial_solution_probe(dataset: PanelDataset) -> ProbeResult:
     layout = dataset.layout
     config = probe_config(layout)
     week_col = dataset.week_of_row.astype(np.float64)[:, None]
-    probe = _fit_stage(week_col, ConstraintOnlyObjective(layout), config, dataset.n)
+    probe = fit(week_col, ConstraintOnlyObjective(layout), config)
     weekly = layout.weekly_sums(probe.preds) / layout.counts
     targets = layout.totals / layout.counts
     gap = np.abs(weekly - targets)
@@ -428,7 +420,8 @@ def _held_out_bias(dataset: PanelDataset, config: TrainConfig) -> tuple[str, flo
     """Refit stage 1 without the last fifth of historical weeks and tally
     the sign of its errors there.  One-sided errors on weeks the model
     never saw are the evidence that its future predictions will be biased
-    the same way."""
+    the same way.  The refit predicts every row after its training rows,
+    the future rows too, which the tally does not read."""
     layout = dataset.layout
     hist_weeks = layout.weeks[~layout.is_future]
     if len(hist_weeks) < 2:
@@ -438,5 +431,5 @@ def _held_out_bias(dataset: PanelDataset, config: TrainConfig) -> tuple[str, flo
     # historical block, and the head is the rows before the first of them.
     head = int(layout.starts[len(hist_weeks) - tail_count])
     objective = Stage1Objective(StageTargets(dataset.actuals[:head]))
-    refit = _fit_stage(dataset.features[: dataset.m], objective, config, head)
-    return bias_tally(refit.preds[head:] - dataset.actuals[head:])
+    refit = fit(dataset.features, objective, config, train_rows=head)
+    return bias_tally(refit.preds[head : dataset.m] - dataset.actuals[head:])

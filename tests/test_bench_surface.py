@@ -2,6 +2,9 @@
 tracer rebinds named functions; a rename in ``src/`` that it depends on
 must fail here, not only when the benchmark runs."""
 
+import copy
+import math
+import random
 import sys
 from pathlib import Path
 
@@ -88,3 +91,24 @@ def test_tracer_counts_the_split_search(bench):
     assert dict(tracer.counts["job"]) == {"split_found": found, "split_rows": rows}
     calls = [span for span in tracer.spans if span[0] == "gbdt.find_best_split"]
     assert len(calls) == searched
+
+
+@pytest.mark.parametrize("name", ["default-cli", "tall-train", "wide-cascade"])
+def test_each_job_runs_and_passes_its_check(bench, tmp_path, name):
+    # Each workload's set-up, job and collection on the default panel, then
+    # the benchmark's own output check: the calls it makes into the program
+    # (run_pipeline's n_threads, the CLI's --threads, dataset.records,
+    # outputs.stage3_targets, each stage's preds and model) all run here.
+    _, workloads = bench
+    import run as bench_run
+
+    workload = copy.copy(workloads.WORKLOADS[name])
+    workload.scenario_config = triboost.ScenarioConfig()
+    inputs = workload.setup(tmp_path / "setup", random.Random(1))
+    out = workloads.reset_dir(tmp_path / "job")
+    output = workload.collect(inputs, out, workload.run(inputs, out))
+    dataset, truth = workloads.expected(workload)
+    keys = workloads.row_keys_digest((r.product_id, r.week_index) for r in dataset.records)
+    assert bench_run.check_job(output, None, dataset, keys) == []
+    scores = bench_run.quality(output, dataset, truth)
+    assert scores and all(math.isfinite(value) for value in scores.values())

@@ -700,29 +700,71 @@ class TestFitLayout:
                 tracemalloc.stop()
         assert peaks["C"] - peaks["F"] >= 0.9 * X.nbytes
 
-    def test_row_prefix_of_a_block_is_read_in_place(self):
+    def test_train_rows_of_a_block_are_read_in_place(self):
         # Stage 1 and the held-out refit train on a row prefix of a
-        # dataset's block.  fit reads the block that prefix views, as it
-        # reads a whole block, and copies a C-ordered prefix; all three
-        # give the same model bytes.
+        # dataset's block and predict the rows after it.  fit reads that
+        # block in place and copies a C-ordered matrix of the same values;
+        # both give the same model and predictions.
         rng = np.random.default_rng(4)
         block = np.ascontiguousarray(rng.normal(size=(5, 24_000)))
-        view = block.T[:20_000]
-        layouts = {"view": view, "F": np.asfortranarray(view), "C": np.ascontiguousarray(view)}
+        layouts = {"block": block.T, "C": np.ascontiguousarray(block.T)}
         objective = mse_objective(rng.normal(size=20_000))
         cfg = TrainConfig(num_rounds=1)
-        fit(view, objective, cfg)  # warm up
-        peaks, models = {}, {}
+        fit(block.T, objective, cfg, train_rows=20_000)  # warm up
+        peaks, results = {}, {}
         for name, features in layouts.items():
             tracemalloc.start()
             try:
-                models[name] = fit(features, objective, cfg).model
+                result = fit(features, objective, cfg, train_rows=20_000)
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert models["view"] == models["F"] == models["C"]
-        assert abs(peaks["view"] - peaks["F"]) < 0.1 * view.nbytes
-        assert peaks["C"] - peaks["view"] >= 0.9 * view.nbytes
+            results[name] = (result.model, result.preds.tobytes())
+        assert results["block"] == results["C"]
+        assert len(result.preds) == 24_000
+        assert peaks["C"] - peaks["block"] >= 0.9 * block.nbytes
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        k=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_train_rows_fit_the_prefix_and_predict_every_row(self, n, k, seed, data):
+        # fit(X, train_rows=r) is fit(X[:r]) in every memory layout, and its
+        # predictions are model.predict(X) bit for bit on all n rows.
+        r = data.draw(st.integers(min_value=1, max_value=n), label="train_rows")
+        rng = np.random.default_rng(seed)
+        X = rng.choice(np.append(TIGHT_VALUES, [0.0, -3.0]), size=(n, k))
+        y = rng.normal(size=r)
+        wide = np.zeros((n, 2 * k))
+        wide[:, ::2] = X
+        layouts = {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X), "strided": wide[:, ::2]}
+        cfg = TrainConfig(num_rounds=3, max_depth=3, learning_rate=0.5, reg_lambda=0.1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(fit(X[:r], mse_objective(y), cfg).model, path)
+            expected = path.read_bytes()
+            for name, features in layouts.items():
+                result = fit(features, mse_objective(y), cfg, train_rows=r)
+                save_model(result.model, path)
+                assert path.read_bytes() == expected, name
+                want = result.model.predict(X)
+                assert result.preds.view(np.int64).tolist() == want.view(np.int64).tolist(), name
+
+    @pytest.mark.parametrize("train_rows", [0, 5, -1, True, 2.5, "2"])
+    def test_train_rows_outside_one_to_n_is_validation_error(self, train_rows):
+        X = np.arange(4.0).reshape(-1, 1)
+        with pytest.raises(ValidationError, match="train_rows"):
+            fit(X, mse_objective(np.arange(2.0)), TrainConfig(num_rounds=1),
+                train_rows=train_rows)
+
+    def test_numpy_integer_train_rows(self):
+        X = np.arange(4.0).reshape(-1, 1)
+        result = fit(X, mse_objective(np.arange(2.0)), TrainConfig(num_rounds=1),
+                     train_rows=np.int64(2))
+        assert result.preds.shape == (4,)
 
     def test_one_round_peak_is_bounded(self):
         # Beside the features and their presorted block, tree growth holds

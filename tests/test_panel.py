@@ -1,4 +1,5 @@
 import csv
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -27,6 +28,7 @@ from triboost.panel import (
     load_panel_csv,
     save_panel_csv,
 )
+from triboost.scenario import ScenarioConfig, generate
 
 
 def rec(p, w, feats, sales=None):
@@ -203,6 +205,32 @@ class TestFromColumns:
         columns[column] = value
         with pytest.raises(ValidationError, match="columns disagree"):
             PanelDataset.from_columns(feature_names=["f_0"], **columns)
+
+    THREE_ROWS = dict(
+        product_ids=["P0", "P1", "P0"], week_of_row=[0, 0, 1],
+        features=[[0.5, 0.0], [0.6, 2.0], [0.7, 4.0]], sales=[1.0, 2.0, None],
+        category_totals=[None, None, 5.0],
+    )
+
+    @pytest.mark.parametrize("names", [
+        ["a", "a"], ["sales", "b"], ["product_id", "b"], ["week", "b"],
+        ["b", "category_total"], ["category", "b"],
+    ])
+    def test_feature_names_a_panel_csv_cannot_hold(self, names):
+        # A repeated name or a fixed column's name would be saved in a
+        # header that load_panel_csv rejects.
+        bad = next(name for i, name in enumerate(names) if name in names[:i]
+                   or name in (*PANEL_COLUMNS, "category"))
+        with pytest.raises(ValidationError, match=f"feature name '{bad}'"):
+            PanelDataset.from_columns(feature_names=names, **self.THREE_ROWS)
+
+    def test_accepted_names_survive_the_csv_round_trip(self, tmp_path):
+        names = ["Sales", "category_2, weekly"]
+        ds = PanelDataset.from_columns(feature_names=names, **self.THREE_ROWS)
+        save_panel_csv(ds, tmp_path / "panel.csv")
+        again = load_panel_csv(tmp_path / "panel.csv")
+        assert again == ds
+        assert again.feature_names == tuple(names)
 
 
 def assert_block_layout(features):
@@ -424,6 +452,26 @@ class TestCsvIo:
         assert load_panel_csv([hist, fut]) == load_panel_csv(whole)
         # order of the file list must not matter: rows are re-sorted
         assert load_panel_csv([fut, hist]) == ds
+
+    @pytest.mark.parametrize("rows, message", [
+        ([-1], "rows[0] is -1,"),  # not the last row
+        ([0, 1.5], "rows[1] is 1.5,"),  # not row 1
+        ([3, 420], "rows[1] is 420,"),  # not an IndexError
+        ([True], "rows[0] is True,"),
+        (["2"], "rows[0] is '2',"),
+    ])
+    def test_rows_must_be_indices_of_the_dataset(self, tmp_path, rows, message):
+        ds, _ = generate(ScenarioConfig())  # 420 rows
+        path = tmp_path / "rows.csv"
+        with pytest.raises(ValidationError, match=re.escape(message + " not a row index in 0..419")):
+            save_panel_csv(ds, path, rows=rows)
+        assert not path.exists()
+
+    def test_rows_may_be_numpy_integers(self, tmp_path):
+        ds = _awkward_panel()
+        save_panel_csv(ds, tmp_path / "list.csv", rows=[3, 1])
+        save_panel_csv(ds, tmp_path / "array.csv", rows=np.array([3, 1], dtype=np.int32))
+        assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "array.csv").read_bytes()
 
     @pytest.mark.parametrize("rows", [
         None,

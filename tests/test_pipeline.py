@@ -229,13 +229,13 @@ class TestProbeRule:
         # levels of recursion in the tree builder.
         dataset = make_panel({w: [3.0**w, 1.0, 1.0] for w in range(255)}, {255: (3, 10.0)})
         fits = []
-        real_fit_stage = pipeline._fit_stage
+        real_fit = pipeline.fit
 
-        def fit_stage(*args):
-            fits.append(real_fit_stage(*args))
+        def fit(*args, **kwargs):
+            fits.append(real_fit(*args, **kwargs))
             return fits[-1]
 
-        with mock.patch.object(pipeline, "_fit_stage", fit_stage):
+        with mock.patch.object(pipeline, "fit", fit):
             assert_probe_converges(dataset)
         assert fits[0].model.trees[0].max_depth_reached > 250
 
@@ -345,20 +345,14 @@ class TestOnScenario:
 @pytest.fixture(scope="module")
 def recorded_run(default_dataset):
     """``run_pipeline`` on the default scenario, diagnostics included, with
-    every ``fit``, stage fit and ``GbdtModel.predict`` call recorded."""
-    fits, stage_fits, predicts = [], [], []
-    real_fit, real_fit_stage, real_predict = (
-        pipeline.fit, pipeline._fit_stage, GbdtModel.predict,
-    )
+    every ``fit`` call (its features, training rows and result) and every
+    ``GbdtModel.predict`` call recorded."""
+    fits, predicts = [], []
+    real_fit, real_predict = pipeline.fit, GbdtModel.predict
 
-    def fit(X, *args):
-        result = real_fit(X, *args)
-        fits.append((result.model, np.array(X)))
-        return result
-
-    def fit_stage(X, *args):
-        result = real_fit_stage(X, *args)
-        stage_fits.append((X, result))
+    def fit(X, objective, config, *, train_rows=None):
+        result = real_fit(X, objective, config, train_rows=train_rows)
+        fits.append((np.array(X), train_rows or len(X), result))
         return result
 
     def predict(model, X):
@@ -366,35 +360,37 @@ def recorded_run(default_dataset):
         return real_predict(model, X)
 
     with mock.patch.object(pipeline, "fit", fit), \
-            mock.patch.object(pipeline, "_fit_stage", fit_stage), \
             mock.patch.object(GbdtModel, "predict", predict):
         run_pipeline(default_dataset, PipelineConfig(stage1=FAST))
-    return fits, stage_fits, predicts
+    return fits, predicts
 
 
 class TestPredictionReuse:
-    """Stages keep the predictions ``fit`` made on their training rows."""
+    """Each ensemble is one ``fit`` call, which keeps its predictions on
+    the rows it trained on and predicts only the rest."""
 
     def test_stage_preds_equal_predict_bitwise(self, recorded_run):
-        _, stage_fits, _ = recorded_run
-        assert len(stage_fits) == 5  # stages 1-3, the held-out refit, the probe
-        for X, result in stage_fits:
+        fits, _ = recorded_run
+        assert len(fits) == 5  # stages 1-3, the held-out refit, the probe
+        for X, _, result in fits:
             expected = result.model.predict(X)
             assert result.preds.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     def test_no_trained_row_is_predicted(self, default_dataset, recorded_run):
-        fits, stage_fits, predicts = recorded_run
-        trained = {id(model): {row.tobytes() for row in X} for model, X in fits}
+        fits, predicts = recorded_run
+        trained = {
+            id(result.model): {row.tobytes() for row in X[:rows]} for X, rows, result in fits
+        }
         for model, X in predicts:
             assert not any(row.tobytes() in trained[id(model)] for row in X)
-        # Only stage 1's future rows and the held-out refit's tail weeks.
-        _, held_out_head = fits[3]  # stages 1-3 fit first, the probe last
+        # Only stage 1's future rows, and the held-out refit's tail weeks
+        # and future rows.
+        _, held_out_head, _ = fits[3]  # stages 1-3 fit first, the probe last
         ds = default_dataset
-        tail = ds.m - held_out_head.shape[0]
-        assert sum(len(X) for _, X in predicts) == (ds.n - ds.m) + tail
+        assert sum(len(X) for _, X in predicts) == (ds.n - ds.m) + (ds.n - held_out_head)
 
     def test_stage_fit_is_the_class_fit_returns(self, recorded_run):
         # One class, importable from the package, gbdt and pipeline.
         assert triboost.StageFit is gbdt.StageFit is pipeline.StageFit
-        _, stage_fits, _ = recorded_run
-        assert all(type(result) is gbdt.StageFit for _, result in stage_fits)
+        fits, _ = recorded_run
+        assert all(type(result) is gbdt.StageFit for _, _, result in fits)
